@@ -363,16 +363,11 @@ def main(argv=None) -> int:
     code = 0
     try:
         record = _HANDLERS[args.command](args)
-    except SolverError as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
-        code = 1
-    except (ValueError, OSError) as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
-        code = 2
-    else:
-        _emit(record)
+    except (SolverError, ValueError, OSError) as exc:
+        record = {"schema": SCHEMA, "command": args.command,
+                  "error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 1 if isinstance(exc, SolverError) else 2
+    _emit(record)
     print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

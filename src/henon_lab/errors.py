@@ -11,7 +11,7 @@ class SolverError(RuntimeError):
 
 
 class BracketError(SolverError):
-    """No sign change found while searching for a root bracket."""
+    """No root bracket: no sign change found, or none within float range."""
 
 
 class ConvergenceError(SolverError):

@@ -15,9 +15,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
+from .mesh import check_dimension
 
 __all__ = ["FluxState", "FluxTrajectory", "series_seed", "integrate_flux_ode",
            "grad_from_flux", "profile_evaluators"]
+
+# Radius where every outward integration leaves the startup series.
+SEED_RADIUS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -37,24 +41,29 @@ def grad_from_flux(flux, radius, p: float, n: int):
     return np.sign(flux) * mag
 
 
-def series_seed(p: float, n: int, u0: float, r_seed: float) -> FluxState:
+def _series_amplitude(p: float, flux_coeff: float) -> float:
+    """sign(c) |c|^(1/(p-1)): u' = amp r^(1/(p-1)) where the flux is c r^n."""
+    return math.copysign(abs(flux_coeff) ** (1.0 / (p - 1.0)), flux_coeff)
+
+
+def series_seed(p: float, n: int, u0: float, r_seed: float,
+                flux_coeff: float) -> FluxState:
     """Leading-order startup state for profiles bounded at the origin.
 
-    Near r = 0 a bounded positive profile behaves like
-    u(r) = u0 (1 + ((p-1)/p) n^(-1/(p-1)) r^(p/(p-1)) + o(r^(p/(p-1)))),
-    with flux u0^(p-1) r^n / n at leading order.
+    Near r = 0 the flux of a bounded profile is c r^n at leading order,
+    c = flux_coeff (u0^(p-1)/n for the Steklov equation), so
+    u(r) = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)) + o(r^(p/(p-1))).
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_dimension(n)
     if not 0.0 < r_seed <= 1e-2:
         raise ValueError(f"seed radius must lie in (0, 1e-2], got {r_seed}")
     if u0 <= 0.0:
         raise ValueError(f"origin value must be positive, got {u0}")
-    bump = (p - 1.0) / p * n ** (-1.0 / (p - 1.0)) * r_seed ** (p / (p - 1.0))
-    return FluxState(radius=r_seed, value=u0 * (1.0 + bump),
-                     flux=u0 ** (p - 1.0) * r_seed ** n / n)
+    amp = _series_amplitude(p, flux_coeff)
+    value = u0 + amp * (p - 1.0) / p * r_seed ** (p / (p - 1.0))
+    return FluxState(radius=r_seed, value=value, flux=flux_coeff * r_seed ** n)
 
 
 @dataclass
@@ -165,10 +174,10 @@ def profile_evaluators(traj: FluxTrajectory, u0: float, flux_coeff: float):
     u = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)).  Above it the dense
     interpolant is used.  Returns (value_fn, grad_fn), each vectorized.
     """
-    p, n = traj.p, traj.n
+    p = traj.p
     r0 = float(traj.rs[0])
     inv = 1.0 / (p - 1.0)
-    amp = math.copysign(abs(flux_coeff) ** inv, flux_coeff)
+    amp = _series_amplitude(p, flux_coeff)
 
     def value_fn(r):
         r = np.asarray(r, dtype=float)

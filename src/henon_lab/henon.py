@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError, ConvergenceError
-from .flux_ode import (FluxState, grad_from_flux, integrate_flux_ode,
-                       profile_evaluators)
-from .mesh import RadialFunction, RadialGrid, build_grid
+from .flux_ode import (SEED_RADIUS, grad_from_flux, integrate_flux_ode,
+                       profile_evaluators, series_seed)
+from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
 from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
-from .steklov import _shoot as _steklov_shot, solve_steklov
+from .steklov import _boundary_quotient, _shoot as _steklov_shot, solve_steklov
 
 __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
            "admissible_q_upper", "shooting_miss", "solve_henon", "resample",
@@ -42,6 +42,10 @@ __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
 # value itself is astronomically large (d grows like mu^(q/(p(q-p)))), so an
 # absolute cutoff would misclassify the solution itself.
 _CAP_FACTOR = 1e6
+
+_SCAN_POINTS = 16  # geometric scan points across the initial bracket
+_PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def critical_exponent(n: int, p: float) -> float:
@@ -59,12 +63,11 @@ def admissible_q_upper(n: int, p: float, alpha: float) -> float:
 
 
 def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
+    check_dimension(n)
     if not 2.0 <= p < n:
         raise ValueError(f"p must satisfy 2 <= p < n, got p={p} at n={n}")
-    if not alpha >= 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     upper = admissible_q_upper(n, p, alpha)
     if q <= p:
         raise ValueError(
@@ -76,22 +79,15 @@ def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
             "it the weighted quotient loses compactness")
 
 
-def _seed(n: int, p: float, q: float, alpha: float, d: float,
-          r_seed: float) -> FluxState:
-    """Startup state at r_seed for the trial with origin value d.
+def _flux_coeff(n: int, p: float, q: float, alpha: float, d: float) -> float:
+    """Startup flux coefficient c, F = c r^n, of the trial with origin value d.
 
     The flux starts as (a - b r^alpha) r^n with a = d^(p-1)/n and
     b = d^(q-1)/(alpha+n); keeping the sink contribution makes the seed exact
     for the constant solution w = 1 when alpha = 0.
     """
-    if d <= 0.0:
-        raise ValueError(f"origin value must be positive, got {d}")
-    if not 0.0 < r_seed <= 1e-2:
-        raise ValueError(f"seed radius must lie in (0, 1e-2], got {r_seed}")
-    c_net = d ** (p - 1.0) / n - d ** (q - 1.0) / (alpha + n) * r_seed ** alpha
-    amp = math.copysign(abs(c_net) ** (1.0 / (p - 1.0)), c_net)
-    value = d + amp * (p - 1.0) / p * r_seed ** (p / (p - 1.0))
-    return FluxState(radius=r_seed, value=value, flux=c_net * r_seed ** n)
+    return (d ** (p - 1.0) / n
+            - d ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
 
 
 def _rhs_factory(n: int, p: float, q: float, alpha: float):
@@ -105,8 +101,8 @@ def _rhs_factory(n: int, p: float, q: float, alpha: float):
     return rhs
 
 
-def _trial(n, p, q, alpha, d, tol, seed_radius, dense=False):
-    seed = _seed(n, p, q, alpha, d, seed_radius)
+def _trial(n, p, q, alpha, d, tol, dense=False):
+    seed = series_seed(p, n, d, SEED_RADIUS, _flux_coeff(n, p, q, alpha, d))
     return integrate_flux_ode(_rhs_factory(n, p, q, alpha), seed, 1.0,
                               p=p, n=n, tol=tol,
                               value_cap=_CAP_FACTOR * max(1.0, d),
@@ -114,7 +110,7 @@ def _trial(n, p, q, alpha, d, tol, seed_radius, dense=False):
 
 
 def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
-                  tol: float = 1e-10, seed_radius: float = 1e-4) -> float:
+                  tol: float = 1e-10) -> float:
     """Boundary-slope residual of the trial with origin value d.
 
     Completed trials return w'(1).  Trials that die at r* < 1 return
@@ -123,7 +119,7 @@ def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
     w'(1) continuously as r* -> 1, so the residual changes sign exactly once
     between undershoot and overshoot.
     """
-    traj = _trial(n, p, q, alpha, d, tol, seed_radius)
+    traj = _trial(n, p, q, alpha, d, tol)
     end = traj.end
     slope = float(grad_from_flux(end.flux, end.radius, p, n))
     if traj.status == "hit_zero":
@@ -133,24 +129,30 @@ def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
     return slope
 
 
-def _initial_center(n: int, p: float, q: float, alpha: float,
-                    seed_radius: float) -> float:
+def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
     """Predicted origin value from the large-alpha asymptotics.
 
     mu is close to (alpha+n)^(p/q) |S|^(1-p/q) lambda_p and the profile is
     close to ||w|| phi_p, so d ~ mu^(q/(p(q-p))) phi_p(0).  The prediction
     only seeds a bracket; moderate alpha is handled by the outward expansion.
     """
-    end = _steklov_shot(n, p, 1e-8, seed_radius, dense=False).end
-    lam = end.flux / end.value ** (p - 1.0)
+    end = _steklov_shot(n, p, 1e-8, dense=False).end
+    lam = _boundary_quotient(end, n, p, 1e-8)
     meas = surface_measure(n)
     mu_pred = meas ** (1.0 - p / q) * (alpha + n) ** (p / q) * lam
     phi0 = (lam * meas) ** (-1.0 / p) / end.value
-    return mu_pred ** (q / (p * (q - p))) * phi0
+    # Near q = p the exponent is huge: judge the size in log space first.
+    expo = q / (p * (q - p))
+    log_power = expo * math.log(mu_pred)
+    log_center = log_power + math.log(phi0)
+    if max(abs(log_power), abs(log_center)) >= _LOG_FLOAT_MAX:
+        raise BracketError(
+            f"predicted origin value exp({log_center:.6g}) is outside the "
+            f"float range at q - p = {q - p:.6g}; no shooting bracket fits")
+    return mu_pred ** expo * phi0
 
 
-def _bracket(miss, lo: float, hi: float, scan_points: int,
-             max_expansions: int):
+def _bracket(miss, lo: float, hi: float, max_expansions: int):
     """Scan geometrically for sign changes, expanding outward if needed.
 
     Returns (brackets, expansions) where each bracket is (a, b, fa, fb);
@@ -158,7 +160,7 @@ def _bracket(miss, lo: float, hi: float, scan_points: int,
     the residual crossed zero more than once; the caller disambiguates by
     the quotient value.
     """
-    ds = list(np.geomspace(lo, hi, scan_points))
+    ds = list(np.geomspace(lo, hi, _SCAN_POINTS))
     fs = [miss(d) for d in ds]
     expansions = 0
     while True:
@@ -215,6 +217,11 @@ def _finalize(n, p, q, alpha, grid, d0, shoot_res, value_fn, grad_fn,
     # Same number through the quotient; agreement checks quadrature and the
     # boundary residual at once, since Q(w) = mu rests on the weak form.
     mu_quotient = meas ** (1.0 - p / q) * num_int / den_int ** (p / q)
+    rel_err = abs(mu_quotient - mu) / mu
+    if not (math.isfinite(mu) and math.isfinite(rel_err)):
+        raise ConvergenceError(
+            f"profile at origin value {d0:.8g} gave mu = {mu:.6g} with "
+            f"quotient error {rel_err:.3g}: its quadrature is not finite")
 
     w = RadialFunction(grid, np.asarray(value_fn(grid.nodes), dtype=float),
                        np.asarray(grad_fn(grid.nodes), dtype=float),
@@ -224,7 +231,7 @@ def _finalize(n, p, q, alpha, grid, d0, shoot_res, value_fn, grad_fn,
                        _value_fn=lambda r: inv * np.asarray(value_fn(r)),
                        _deriv_fn=lambda r: inv * np.asarray(grad_fn(r)))
     diagnostics = dict(diagnostics)
-    diagnostics["mu_quotient_rel_err"] = float(abs(mu_quotient - mu) / mu)
+    diagnostics["mu_quotient_rel_err"] = float(rel_err)
     return HenonSolution(n=n, p=p, q=q, alpha=alpha, d0=float(d0),
                          mu=float(mu), norm_w=float(norm_w),
                          shoot_res=float(shoot_res), w=w, v=v,
@@ -233,9 +240,8 @@ def _finalize(n, p, q, alpha, grid, d0, shoot_res, value_fn, grad_fn,
 
 def solve_henon(n: int, p: float, q: float, alpha: float, *,
                 grid: RadialGrid | None = None, refinement: int = 8,
-                tol: float = 1e-10, seed_radius: float = 1e-4,
-                d_lo: float | None = None, d_hi: float | None = None,
-                scan_points: int = 16, max_expansions: int = 12
+                tol: float = 1e-10, d_lo: float | None = None,
+                d_hi: float | None = None, max_expansions: int = 12
                 ) -> HenonSolution:
     """Shoot for the ground state and package profile, mu, and diagnostics.
 
@@ -245,8 +251,6 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     tolerance with dense output.
     """
     validate_parameters(n, p, q, alpha)
-    if scan_points < 2:
-        raise ValueError("scan needs at least two points")
     if max_expansions < 0:
         raise ValueError("max_expansions must be nonnegative")
     if grid is None:
@@ -255,29 +259,20 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
         raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
 
     if d_lo is None or d_hi is None:
-        center = _initial_center(n, p, q, alpha, seed_radius)
+        center = _initial_center(n, p, q, alpha)
         d_lo = center / 10.0 if d_lo is None else d_lo
         d_hi = center * 10.0 if d_hi is None else d_hi
     if not 0.0 < d_lo < d_hi:
         raise ValueError(f"need 0 < d_lo < d_hi, got {d_lo}, {d_hi}")
 
     trials = 0
-    scan_tol = max(tol, 1e-8)
 
-    def miss_scan(d):
+    def miss(d, trial_tol=max(tol, 1e-8)):
         nonlocal trials
         trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=scan_tol,
-                             seed_radius=seed_radius)
+        return shooting_miss(n, p, q, alpha, d, tol=trial_tol)
 
-    def miss_fine(d):
-        nonlocal trials
-        trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=tol,
-                             seed_radius=seed_radius)
-
-    brackets, expansions = _bracket(miss_scan, d_lo, d_hi, scan_points,
-                                    max_expansions)
+    brackets, expansions = _bracket(miss, d_lo, d_hi, max_expansions)
     candidates = []
     for a, b, fa, fb in brackets:
         if a == b:
@@ -287,19 +282,18 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
             # insensitive to the leftover error in d; modest tolerances do.
             # The miss values carry integration noise ~ (trajectory scale) x
             # tol, so the f threshold cannot sit much below 1e-6 relative.
-            d0 = brent_root(miss_fine, a, b,
+            d0 = brent_root(lambda d: miss(d, tol), a, b,
                             f_tol=1e-6 * max(abs(fa), abs(fb)),
                             x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
-        final = _trial(n, p, q, alpha, d0, tol, seed_radius, dense=True)
+        final = _trial(n, p, q, alpha, d0, tol, dense=True)
         if final.status != "completed":
             if len(brackets) > 1:
                 continue  # spurious crossing of a surrogate branch
             raise ConvergenceError(
                 f"profile at the fitted origin value {d0:.8g} terminated "
                 f"early ({final.status} at r={final.end.radius:.6g})")
-        c_net = (d0 ** (p - 1.0) / n
-                 - d0 ** (q - 1.0) / (alpha + n) * seed_radius ** alpha)
-        value_fn, grad_fn = profile_evaluators(final, d0, c_net)
+        value_fn, grad_fn = profile_evaluators(
+            final, d0, _flux_coeff(n, p, q, alpha, d0))
         residual = float(grad_from_flux(final.end.flux, 1.0, p, n))
         diagnostics = {
             "bracket": (float(a), float(b)),
@@ -413,8 +407,7 @@ _DEFAULT_ALPHAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
 
 def limit_comparison(n: int, p: float, q: float, alphas=_DEFAULT_ALPHAS, *,
-                     refinement: int = 8, tol: float = 1e-10,
-                     probe_points: int = 501) -> LimitReport:
+                     refinement: int = 8, tol: float = 1e-10) -> LimitReport:
     """Compare ground states against the Steklov limit along increasing alpha.
 
     For each alpha the ratio rho and the sup distance between v and phi_p
@@ -425,7 +418,7 @@ def limit_comparison(n: int, p: float, q: float, alphas=_DEFAULT_ALPHAS, *,
     if len(alphas) < 2 or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("needs at least two strictly increasing alphas")
     stek = solve_steklov(n, p, refinement=refinement, tol=tol)
-    rs = np.linspace(0.0, 1.0, probe_points)
+    rs = np.linspace(0.0, 1.0, _PROBE_POINTS)
     phi_vals = stek.phi(rs)
     meas, lam = stek.surface_measure, stek.lambda_p
 

@@ -23,6 +23,12 @@ __all__ = [
 MAX_REFINEMENT = 12
 
 
+def check_dimension(n) -> None:
+    """Every radial reduction here needs an integer dimension n >= 3."""
+    if not (isinstance(n, (int, np.integer)) and n >= 3):
+        raise ValueError(f"dimension n must be an integer >= 3, got {n!r}")
+
+
 def _smoothstep_nodes(lo: float, hi: float, cells: int) -> np.ndarray:
     # 3x^2 - 2x^3 clusters quadratically at both ends of [lo, hi].
     xi = np.linspace(0.0, 1.0, cells + 1)
@@ -42,7 +48,7 @@ class RadialGrid:
     Attributes
     ----------
     n : int
-        Ambient dimension; fixes the default quadrature degree so that
+        Ambient dimension; fixes the quadrature degree so that
         r^(n-1) integrates exactly.
     nodes : ndarray
         Strictly increasing, nodes[0] == 0.0 and nodes[-1] == 1.0.
@@ -95,8 +101,8 @@ def _gauss_cells(nodes: np.ndarray, npts: int):
     return x, w, cell
 
 
-def build_grid(n: int, refinement: int = 8, alpha_hint: float = 0.0,
-               quad_points: int | None = None) -> RadialGrid:
+def build_grid(n: int, refinement: int = 8,
+               alpha_hint: float = 0.0) -> RadialGrid:
     """Build a graded grid with 2^refinement base cells.
 
     Parameters
@@ -108,18 +114,13 @@ def build_grid(n: int, refinement: int = 8, alpha_hint: float = 0.0,
     alpha_hint : float
         If positive, the boundary layer [1 - 10/alpha, 1] receives at least
         50 nodes with quadratic clustering toward r = 1.
-    quad_points : int, optional
-        Gauss points per cell; default makes r^(n-1) exact.
     """
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"dimension n must be an integer >= 3, got {n!r}")
+    check_dimension(n)
     if not 1 <= refinement <= MAX_REFINEMENT:
         raise ValueError(f"refinement must lie in [1, {MAX_REFINEMENT}], got {refinement}")
     if alpha_hint < 0:
         raise ValueError(f"alpha_hint must be >= 0, got {alpha_hint}")
-    m = quad_points if quad_points is not None else max(3, -(-n // 2))
-    if m < 1:
-        raise ValueError("quad_points must be >= 1")
+    m = max(3, -(-n // 2))
 
     base_cells = 2 ** refinement
     if alpha_hint > 0.0:
@@ -193,6 +194,15 @@ class RadialFunction:
         if self._deriv_fn is not None:
             return self._deriv_fn(r)
         return _hermite_derivative(self.grid.nodes, self.values, self.derivatives, r)
+
+    @classmethod
+    def from_nodes(cls, grid: RadialGrid, values: np.ndarray) -> RadialFunction:
+        """Nodal values; derivatives by centered differences, one-sided at the ends."""
+        derivs = np.empty_like(values)
+        derivs[1:-1] = grid.interior_derivatives(values)
+        slopes = grid.cell_slopes(values)
+        derivs[0], derivs[-1] = slopes[0], slopes[-1]
+        return cls(grid, values, derivs)
 
     @property
     def boundary_value(self) -> float:

@@ -195,9 +195,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm,
         rho = float(vals[0])
         h = vecs[:, 0]
         h /= math.sqrt(b_form.quad_form(h))
-        diagnostics = {"method": "dense", "iterations": iterations,
-                       "bisection_width": float(hi - lo),
-                       "residual": rel_resid}
+        diagnostics["method"] = "dense"
 
     if h[-1] < 0.0:
         h = -h
@@ -225,13 +223,9 @@ def min_second_variation(sol: HenonSolution, ell: int = 1,
         grid = sol.grid
     a_form, b_form = second_variation_forms(sol, ell=ell, grid=grid)
     sigma, h, diagnostics = pencil_min_eig(a_form, b_form)
-    derivs = np.empty_like(h)
-    derivs[1:-1] = grid.interior_derivatives(h)
-    slopes = grid.cell_slopes(h)
-    derivs[0], derivs[-1] = slopes[0], slopes[-1]
     return PencilResult(sigma=sigma, lambda_reg=max(0.0, -sigma), ell=int(ell),
                         angular=float(ell * (ell + sol.n - 2)), p=sol.p,
-                        h=RadialFunction(grid, h, derivs), grid=grid,
+                        h=RadialFunction.from_nodes(grid, h), grid=grid,
                         diagnostics=diagnostics)
 
 
@@ -245,8 +239,7 @@ def eigenprofile_steepness(result: PencilResult) -> float:
     h = result.h.values
     if h[-1] == 0.0:
         raise ValueError("eigenprofile vanishes at the boundary")
-    dh = grid.interior_derivatives(h)
-    return float(np.max(grid.nodes[1:-1] * dh) / h[-1])
+    return float(np.max(grid.nodes[1:-1] * result.h.derivatives[1:-1]) / h[-1])
 
 
 @dataclass
@@ -274,8 +267,7 @@ def eigenprofile_properties(result: PencilResult) -> EigenprofileReport:
     grid = result.grid
     h = result.h.values
     p = result.p
-    interior = grid.interior_derivatives(h)
-    monotone = bool(np.all(interior > 0.0))
+    monotone = bool(np.all(result.h.derivatives[1:-1] > 0.0))
     steepness = eigenprofile_steepness(result)
 
     slopes = grid.cell_slopes(h)

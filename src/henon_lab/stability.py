@@ -22,6 +22,7 @@ from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .henon import critical_exponent
+from .mesh import check_dimension
 from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
 from .steklov import steklov_eigenvalue
@@ -33,6 +34,7 @@ __all__ = ["StabilityPoint", "AppendixTableRow", "ChainLink", "ChainReport",
            "g_cap_derivative", "appendix_table", "verify_appendix_chain"]
 
 _E = math.e
+_P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
 
 
 def conjugate_exponent(p: float) -> float:
@@ -112,7 +114,7 @@ def find_q_loc(n: int, p: float, *, lambda_p: float | None = None,
                       fa=f_lo, fb=f_hi)
 
 
-def find_p_loc(n: int, *, tol: float = 1e-6, scan_points: int = 41) -> float:
+def find_p_loc(n: int, *, tol: float = 1e-6) -> float:
     """Smallest p in (2, n) with K(n, p, p*(p)) = 0.
 
     Below p_loc even the critical exponent is stable.  Returns n (capped)
@@ -125,7 +127,7 @@ def find_p_loc(n: int, *, tol: float = 1e-6, scan_points: int = 41) -> float:
     def k_at_critical(p):
         return compute_k(n, p, critical_exponent(n, p))
 
-    ps = np.linspace(2.0, n - 0.05, scan_points)
+    ps = np.linspace(2.0, n - 0.05, _P_SCAN_POINTS)
     ks = [k_at_critical(p) for p in ps]
     change = sign_change_pairs(ks)
     if not change:
@@ -144,8 +146,7 @@ def compute_ipn(n: int, p: float) -> float:
 
     The eigenvalue bound reads lambda_p <= (1 - I_{p,n})/n.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
+    check_dimension(n)
     if not 2.0 <= p <= n:
         raise ValueError(f"need 2 <= p <= n, got p={p}")
     kap = kappa_value(n, p)

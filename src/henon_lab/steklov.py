@@ -18,8 +18,10 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import ConvergenceError
-from .flux_ode import integrate_flux_ode, profile_evaluators, series_seed
-from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms, build_grid
+from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
+                       profile_evaluators, series_seed)
+from .mesh import (RadialFunction, RadialGrid, TridiagForm, build_grid,
+                   check_dimension)
 from .special import bessel_i, bessel_i_prime, surface_measure
 
 __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
@@ -28,15 +30,14 @@ __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
 
 
 def _validate(n: int, p: float) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
-    if not p >= 2.0:
-        raise ValueError(f"p must satisfy p >= 2, got {p}")
+    check_dimension(n)
+    if not 2.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 2, got {p}")
 
 
-def _shoot(n: int, p: float, tol: float, seed_radius: float, dense: bool = True):
+def _shoot(n: int, p: float, tol: float, dense: bool = True):
     # Homogeneity: the origin value is arbitrary, 1.0 keeps magnitudes tame.
-    seed = series_seed(p, n, 1.0, seed_radius)
+    seed = series_seed(p, n, 1.0, SEED_RADIUS, 1.0 / n)
     nm1 = n - 1
 
     def rhs(r, u):
@@ -45,21 +46,24 @@ def _shoot(n: int, p: float, tol: float, seed_radius: float, dense: bool = True)
     return integrate_flux_ode(rhs, seed, 1.0, p=p, n=n, tol=tol, dense=dense)
 
 
-def steklov_eigenvalue(n: int, p: float, *, tol: float = 1e-10,
-                       seed_radius: float = 1e-4) -> float:
-    """First Steklov eigenvalue lambda_p, by a single outward integration.
-
-    The value is a boundary quotient of the integrated profile and does not
-    involve any spatial grid, so it is cheap enough for parameter scans.
-    """
-    _validate(n, p)
-    end = _shoot(n, p, tol, seed_radius, dense=False).end
+def _boundary_quotient(end: FluxState, n: int, p: float, tol: float) -> float:
+    """lambda_p = F(1) / u(1)^(p-1) of a shot, checked to lie in (0, 1/n)."""
     lam = end.flux / end.value ** (p - 1.0)
     if not 0.0 < lam < 1.0 / n:
         raise ConvergenceError(
             f"eigenvalue quotient {lam:.6g} escaped (0, 1/n); "
             f"integration tolerance {tol:g} is likely too loose")
     return float(lam)
+
+
+def steklov_eigenvalue(n: int, p: float, *, tol: float = 1e-10) -> float:
+    """First Steklov eigenvalue lambda_p, by a single outward integration.
+
+    The value is a boundary quotient of the integrated profile and does not
+    involve any spatial grid, so it is cheap enough for parameter scans.
+    """
+    _validate(n, p)
+    return _boundary_quotient(_shoot(n, p, tol, dense=False).end, n, p, tol)
 
 
 @dataclass
@@ -78,8 +82,7 @@ class SteklovSolution:
 
 
 def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
-                  refinement: int = 8, tol: float = 1e-10,
-                  seed_radius: float = 1e-4) -> SteklovSolution:
+                  refinement: int = 8, tol: float = 1e-10) -> SteklovSolution:
     """Solve for the eigenpair and normalize the eigenfunction.
 
     The returned phi carries dense evaluators valid on all of [0, 1]; the
@@ -92,14 +95,8 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
     elif grid.n != n:
         raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
 
-    traj = _shoot(n, p, tol, seed_radius)
-    end = traj.end
-    lam = end.flux / end.value ** (p - 1.0)
-    if not 0.0 < lam < 1.0 / n:
-        raise ConvergenceError(
-            f"eigenvalue quotient {lam:.6g} escaped (0, 1/n); "
-            f"integration tolerance {tol:g} is likely too loose")
-
+    traj = _shoot(n, p, tol)
+    lam = _boundary_quotient(traj.end, n, p, tol)
     value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
     meas = surface_measure(n)
     rq = grid.quad_x
@@ -117,13 +114,13 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
     diagnostics = {
         "ode_steps": int(traj.rs.size),
         "ode_tol": tol,
-        "seed_radius": seed_radius,
+        "seed_radius": SEED_RADIUS,
         "w1p_norm_raw": float(norm_p ** (1.0 / p)),
         # |phi(1) - (lambda |S|)^(-1/p)| / phi(1): quadrature + ODE error.
         "boundary_identity_rel_err": float(abs(phi.boundary_value - phi1_exact)
                                            / phi1_exact),
     }
-    return SteklovSolution(n=n, p=p, lambda_p=float(lam), phi=phi,
+    return SteklovSolution(n=n, p=p, lambda_p=lam, phi=phi,
                            phi0=float(phi.origin_value),
                            phi1=float(phi.boundary_value),
                            surface_measure=meas, grid=grid,
@@ -136,8 +133,7 @@ def bessel_lambda2(n: int) -> float:
     The p = 2 eigenfunction is r^(1-n/2) I_(n/2-1)(r); differentiating and
     evaluating the boundary quotient gives this expression.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
+    check_dimension(n)
     nu = n / 2.0 - 1.0
     return 1.0 - n / 2.0 + bessel_i_prime(nu, 1.0) / bessel_i(nu, 1.0)
 
@@ -165,24 +161,17 @@ def limit_form_matrix(sol: SteklovSolution,
                          + (n-1)(phi')^(p-2) w^2 r^(n-3)
                          + (p-1) phi^(p-2) w^2 r^(n-1) ] dr.
 
-    For p > 2 the weight (phi')^(p-2) degenerates like r^(p-2)/(p-1) at the
-    origin; the first cell is integrated in the substituted variable
-    t = r^(p/(p-1)) where the integrand is smooth.
+    It is the mode-1 form A of `second_variation.pencil_forms` at mu = 0,
+    where q and alpha drop out, with phi_p in place of v.
     """
+    # second_variation imports henon, which imports this module.
+    from .second_variation import pencil_forms
+
     if grid is None:
         grid = sol.grid
-    p, n = sol.p, sol.n
-    phi, dphi = sol.phi, sol.phi.derivative
-
-    def stiffness(r):
-        return (p - 1.0) * np.abs(dphi(r)) ** (p - 2.0) * r ** (n - 1)
-
-    def mass(r):
-        return ((n - 1.0) * np.abs(dphi(r)) ** (p - 2.0) * r ** (n - 3)
-                + (p - 1.0) * np.abs(phi(r)) ** (p - 2.0) * r ** (n - 1))
-
-    first_cell = p / (p - 1.0) if p > 2.0 else None
-    return assemble_forms(grid, stiffness, mass, first_cell_exponent=first_cell)
+    a_form, _ = pencil_forms(grid, p=sol.p, n=sol.n, q=2.0, alpha=0.0, mu=0.0,
+                             value_fn=sol.phi, deriv_fn=sol.phi.derivative)
+    return a_form
 
 
 def limit_form_min_numeric(sol: SteklovSolution,
@@ -197,20 +186,10 @@ def limit_form_min_numeric(sol: SteklovSolution,
     if grid is None:
         grid = sol.grid
     form = limit_form_matrix(sol, grid)
-    diag, off = form.diag, form.off
     m = form.size - 1  # interior unknowns, node m is pinned at 1
-    ab = np.zeros((2, m))
-    ab[1] = diag[:m]
-    ab[0, 1:] = off[:m - 1]
     rhs = np.zeros(m)
-    rhs[-1] = -off[m - 1]
+    rhs[-1] = -form.off[m - 1]
     w = np.empty(form.size)
-    w[:m] = solveh_banded(ab, rhs)
+    w[:m] = solveh_banded(form.banded_upper()[:, :m], rhs)
     w[m] = 1.0
-    value = float(form.quad_form(w))
-    derivs = np.empty_like(w)
-    derivs[1:-1] = grid.interior_derivatives(w)
-    slopes = grid.cell_slopes(w)
-    derivs[0] = slopes[0]
-    derivs[-1] = slopes[-1]
-    return value, RadialFunction(grid, w, derivs)
+    return float(form.quad_form(w)), RadialFunction.from_nodes(grid, w)

@@ -20,12 +20,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError
+from .henon import validate_parameters
 from .mesh import RadialFunction, RadialGrid, build_grid
 from .special import surface_measure
 
 __all__ = ["VariationalResult", "minimize_quotient"]
 
 _FLOOR = 1e-12  # lower bound on node values; keeps |u|^(q-2) finite
+_MAX_ITER = 2000  # L-BFGS iterations; evaluations are capped at ten times this
 
 
 @dataclass
@@ -79,16 +81,14 @@ def _quotient_pieces(grid: RadialGrid, p: float, q: float, alpha: float):
 
 
 def minimize_quotient(n: int, p: float, q: float, alpha: float, *,
-                      grid: RadialGrid | None = None, refinement: int = 7,
-                      max_iter: int = 2000) -> VariationalResult:
+                      grid: RadialGrid | None = None,
+                      refinement: int = 7) -> VariationalResult:
     """Minimize the radial quotient directly; no shooting involved.
 
     The discrete minimum overestimates the continuum level by the P1
     interpolation error, so the returned mu exceeds the shooting value by
     O(grid^(-2)) but never sits meaningfully below it.
     """
-    from .henon import validate_parameters
-
     validate_parameters(n, p, q, alpha)
     if grid is None:
         grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
@@ -110,7 +110,7 @@ def minimize_quotient(n: int, p: float, q: float, alpha: float, *,
     res = minimize(objective, start, jac=True, method="L-BFGS-B",
                    bounds=[(_FLOOR, None)] * grid.num_nodes,
                    callback=record,
-                   options={"maxiter": max_iter, "maxfun": 10 * max_iter,
+                   options={"maxiter": _MAX_ITER, "maxfun": 10 * _MAX_ITER,
                             "ftol": 1e-14, "gtol": 1e-10})
     if not res.success and "ITERATIONS" not in str(res.message).upper():
         raise ConvergenceError(
@@ -122,14 +122,10 @@ def minimize_quotient(n: int, p: float, q: float, alpha: float, *,
     # Same normalization convention as the shooting route: the full-ball
     # W^1_p norm, surface measure included, equals one.
     values = u / (measure * num) ** (1.0 / p)
-    derivs = np.empty_like(values)
-    derivs[1:-1] = grid.interior_derivatives(values)
-    slopes = grid.cell_slopes(values)
-    derivs[0], derivs[-1] = slopes[0], slopes[-1]
     diagnostics = {"iterations": int(res.nit), "evaluations": int(res.nfev),
                    "converged": bool(res.success),
                    "message": str(res.message),
                    "grad_norm": float(np.linalg.norm(prefactor * grad))}
     return VariationalResult(n=n, p=p, q=q, alpha=alpha, mu=float(mu),
-                             v=RadialFunction(grid, values, derivs),
+                             v=RadialFunction.from_nodes(grid, values),
                              history=history, diagnostics=diagnostics)

@@ -1,10 +1,14 @@
 """End-to-end CLI checks: records, CSV round-trips, exit codes, sweep."""
 import csv
 import json
+import math
+import re
 
 import numpy as np
+import pytest
 
 from cli_child import run_cli
+from henon_lab import compute_ipn, solve_henon, solve_steklov
 from henon_lab.cli import trapezoid_quotient
 
 SCHEMA = "henon-lab/1"
@@ -192,3 +196,56 @@ def test_sweep(tmp_path):
     proc = run_cli("sweep", str(empty))
     assert proc.returncode == 0
     assert record_of(proc)["results"]["points"] == []
+
+
+# (CLI arguments, the same input in-process, the parameter to be named).
+# The stability command stops at the Steklov validator; compute_ipn has its
+# own.
+NON_FINITE = [
+    (("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "inf"),
+     lambda: solve_henon(4, 2.0, 3.0, math.inf), "alpha"),
+    (("radial", "--n", "4", "--p", "2", "--q", "nan", "--alpha", "5"),
+     lambda: solve_henon(4, 2.0, math.nan, 5.0), "q"),
+    (("steklov", "--n", "3", "--p", "inf"),
+     lambda: solve_steklov(3, math.inf), "p"),
+    (("stability", "--n", "3", "--p", "inf"),
+     lambda: compute_ipn(3, math.inf), "p"),
+]
+
+
+def names_bad_value(message: str, name: str) -> bool:
+    return (re.search(rf"\b{name}\b", message) is not None
+            and ("inf" in message or "nan" in message))
+
+
+@pytest.mark.parametrize("argv, call, name", NON_FINITE,
+                         ids=[" ".join(case[0]) for case in NON_FINITE])
+def test_non_finite_input_is_rejected_by_name(argv, call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert names_bad_value(str(info.value), name), info.value
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    err = record_of(proc)["error"]
+    assert err["type"] == "ValueError"
+    assert names_bad_value(err["message"], name), err["message"]
+
+
+def test_unrepresentable_origin_value_is_a_solver_error(tmp_path):
+    # At q - p = 0.001 the predicted origin value is about e^2851.
+    proc = run_cli("radial", "--n", "6", "--p", "2", "--q", "2.001",
+                   "--alpha", "100")
+    assert proc.returncode == 1
+    assert record_of(proc)["error"]["type"] == "BracketError"
+
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "points": [{"n": 6, "p": 2.0, "q": 2.001, "alpha": 100.0},
+                   {"n": 4, "p": 2.0, "q": 3.0, "alpha": 10.0}],
+        "refinement": 5,
+    }))
+    proc = run_cli("sweep", str(cfg))
+    assert proc.returncode == 0
+    bad, good = record_of(proc)["results"]["points"]
+    assert bad["error"]["type"] == "BracketError"
+    assert good["mu"] > 0.0

@@ -16,13 +16,13 @@ def _linear_rhs(n):
 
 def test_seed_validation():
     with pytest.raises(ValueError, match="p must exceed 1"):
-        series_seed(1.0, 3, 1.0, 1e-4)
+        series_seed(1.0, 3, 1.0, 1e-4, 1.0 / 3)
     with pytest.raises(ValueError, match="n must be"):
-        series_seed(2.0, 2, 1.0, 1e-4)
+        series_seed(2.0, 2, 1.0, 1e-4, 1.0 / 2)
     with pytest.raises(ValueError, match="seed radius"):
-        series_seed(2.0, 3, 1.0, 0.1)
+        series_seed(2.0, 3, 1.0, 0.1, 1.0 / 3)
     with pytest.raises(ValueError, match="positive"):
-        series_seed(2.0, 3, -1.0, 1e-4)
+        series_seed(2.0, 3, -1.0, 1e-4, 1.0 / 3)
 
 
 def test_grad_from_flux_roundtrip():
@@ -37,7 +37,7 @@ def test_grad_from_flux_roundtrip():
 def test_sinh_profile_n3_p2():
     # (r^2 u')' = r^2 u with u bounded at 0 has u = u0 sinh(r)/r, hence
     # u(1) = u0 sinh(1) and F(1) = r^2 u'|_1 = u0 (cosh 1 - sinh 1).
-    seed = series_seed(2.0, 3, 1.0, 1e-5)
+    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
     traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-11)
     assert traj.status == "completed"
     end = traj.end
@@ -46,7 +46,7 @@ def test_sinh_profile_n3_p2():
 
 
 def test_dense_output_tracks_solution():
-    seed = series_seed(2.0, 3, 1.0, 1e-5)
+    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
     traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-11)
     r = np.linspace(0.05, 1.0, 40)
     assert np.max(np.abs(traj.value_at(r) - np.sinh(r) / r)) < 1e-9
@@ -55,7 +55,7 @@ def test_dense_output_tracks_solution():
 
 
 def test_no_dense_output_raises_on_query():
-    seed = series_seed(2.0, 3, 1.0, 1e-5)
+    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
     traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-8,
                               dense=False)
     with pytest.raises(ValueError, match="dense"):
@@ -67,7 +67,7 @@ def test_value_cap_terminates():
     def rhs(r, u):
         return 50.0 * r ** 2 * u
 
-    seed = series_seed(2.0, 3, 1.0, 1e-4)
+    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
     traj = integrate_flux_ode(rhs, seed, p=2.0, n=3, tol=1e-9, value_cap=10.0)
     assert traj.status == "capped"
     assert abs(traj.end.value) <= 10.0 * (1.0 + 1e-8)
@@ -79,7 +79,7 @@ def test_zero_crossing_terminates():
     def rhs(r, u):
         return -200.0 * r ** 2
 
-    seed = series_seed(2.0, 3, 1.0, 1e-4)
+    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
     traj = integrate_flux_ode(rhs, seed, p=2.0, n=3, tol=1e-9,
                               stop_on_nonpositive=True)
     assert traj.status == "hit_zero"
@@ -87,7 +87,7 @@ def test_zero_crossing_terminates():
 
 
 def test_seed_window_validation():
-    seed = series_seed(2.0, 3, 1.0, 1e-4)
+    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
     with pytest.raises(ValueError, match="seed radius"):
         integrate_flux_ode(_linear_rhs(3), seed, r_end=1e-5, p=2.0, n=3)
     with pytest.raises(ValueError, match="tolerance"):
@@ -96,7 +96,7 @@ def test_seed_window_validation():
 
 def test_profile_evaluators_splice_below_seed():
     p, n = 2.5, 4
-    seed = series_seed(p, n, 1.0, 1e-4)
+    seed = series_seed(p, n, 1.0, 1e-4, 1.0 / n)
     traj = integrate_flux_ode(_linear_rhs(n), seed, p=p, n=n, tol=1e-10)
     value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
     r = np.array([0.0, 1e-6, 5e-5, 2e-4, 0.5, 1.0])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from henon_lab.errors import BracketError
+from henon_lab.errors import BracketError, ConvergenceError
 from henon_lab.henon import (admissible_q_upper, critical_exponent,
                              derivative_asymptotics, limit_comparison,
                              resample, solve_henon, validate_parameters)
@@ -102,6 +102,14 @@ def test_bracket_override_and_failure():
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=1e9, d_hi=2e9, max_expansions=0)
     with pytest.raises(ValueError, match="d_lo < d_hi"):
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=2.0, d_hi=1.0)
+
+
+def test_non_finite_quotient_is_a_convergence_error():
+    # The root lands near d0 = 1e84, where w^q overflows the quadrature;
+    # mu = inf must not be returned as a result.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError, match="not finite"):
+        solve_henon(5, 3.877, 3.897, 295.3)
 
 
 def test_endpoint_exponents(ground_state):
