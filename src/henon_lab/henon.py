@@ -12,10 +12,15 @@ carries no multiplier: the profile w solves
 with w > 0, w'(0) = 0, w'(1) = 0.  The minimum value of the quotient is then
 mu = ||w||_{W^1_p}^(p(q-p)/q), and the unit-norm minimizer is v = w / ||w||.
 
-The profile is found by shooting on the origin value d = w(0): integrate
-outward and drive the boundary slope w'(1) to zero.  Trials that die (w hits
-zero) or blow up before r = 1 are mapped to continuous surrogate residuals so
-the root-finder sees a single sign change.
+The profile is found by shooting on the origin value d = w(0) (Keller's
+shooting method): integrate outward and drive the boundary flux
+F(1) = |w'(1)|^(p-2) w'(1) to zero.  The slope w'(1) = sign(F) |F|^(1/(p-1))
+has an infinite derivative at its root when p > 2, which slows Brent's
+method to bisection; the flux does not.  Trials that die (w hits zero) or
+blow up before r = 1 are mapped to continuous surrogate residuals so the
+root-finder sees a single sign change.  The bracket grows centre-out from
+the large-alpha prediction c: one trial at c, one at 2c or c/2 as the
+residual's sign points, then 4x wider per expansion.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .errors import BracketError, ConvergenceError
 from .flux_ode import (SEED_RADIUS, grad_from_flux, integrate_flux_ode,
                        profile_evaluators, series_seed)
 from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
-from .rootfind import brent_root, sign_change_pairs
+from .rootfind import brent_root
 from .special import surface_measure
 from .steklov import _boundary_quotient, _shoot as _steklov_shot, solve_steklov
 
@@ -43,7 +48,9 @@ __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
 # absolute cutoff would misclassify the solution itself.
 _CAP_FACTOR = 1e6
 
-_SCAN_POINTS = 16  # geometric scan points across the initial bracket
+# Brent accepts an origin value once |F(1)| <= _FLUX_TOL (a+b)^(p-1) on the
+# bracket [a, b]: the flux of the trial scales like d^(p-1).
+_FLUX_TOL = 1e-9
 _PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -68,6 +75,8 @@ def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
         raise ValueError(f"p must satisfy 2 <= p < n, got p={p} at n={n}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     upper = admissible_q_upper(n, p, alpha)
     if q <= p:
         raise ValueError(
@@ -111,22 +120,22 @@ def _trial(n, p, q, alpha, d, tol, dense=False):
 
 def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
                   tol: float = 1e-10) -> float:
-    """Boundary-slope residual of the trial with origin value d.
+    """Boundary flux F(1) = |w'(1)|^(p-2) w'(1) of the trial from d.
 
-    Completed trials return w'(1).  Trials that die at r* < 1 return
-    w'(r*) - (1 - r*) (kept negative, growing more so the earlier the death);
-    trials that blow up return w'(r*) + (1 - r*).  Both surrogates match
-    w'(1) continuously as r* -> 1, so the residual changes sign exactly once
-    between undershoot and overshoot.
+    A trial that dies at r* < 1 takes the slope surrogate
+    s = w'(r*) - (1 - r*) (more negative the earlier the death), one that
+    blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1), which
+    meets F(1) continuously as r* -> 1.  The residual falls through zero
+    once, and unlike w'(1) it has a finite slope in d there when p > 2.
     """
     traj = _trial(n, p, q, alpha, d, tol)
     end = traj.end
+    if traj.status == "completed":
+        return end.flux
     slope = float(grad_from_flux(end.flux, end.radius, p, n))
-    if traj.status == "hit_zero":
-        return slope - (1.0 - end.radius)
-    if traj.status == "capped":
-        return slope + (1.0 - end.radius)
-    return slope
+    s = slope - (1.0 - end.radius) if traj.status == "hit_zero" \
+        else slope + (1.0 - end.radius)
+    return math.copysign(abs(s) ** (p - 1.0), s)
 
 
 def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
@@ -152,38 +161,30 @@ def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
     return mu_pred ** expo * phi0
 
 
-def _bracket(miss, lo: float, hi: float, max_expansions: int):
-    """Scan geometrically for sign changes, expanding outward if needed.
+def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float,
+             max_expansions: int):
+    """Widen [lo, hi] by 4x per expansion until the residual changes sign.
 
-    Returns (brackets, expansions) where each bracket is (a, b, fa, fb);
-    a == b signals an exact root hit at a scan point.  Several brackets mean
-    the residual crossed zero more than once; the caller disambiguates by
-    the quotient value.
+    The residual falls with d, so a positive value at hi moves the pair up
+    and a negative value at lo moves it down; each expansion costs one
+    trial.  Returns (lo, hi, f_lo, f_hi, expansions).
     """
-    ds = list(np.geomspace(lo, hi, _SCAN_POINTS))
-    fs = [miss(d) for d in ds]
     expansions = 0
-    while True:
-        brackets = []
-        if fs[0] == 0.0:
-            brackets.append((ds[0], ds[0], 0.0, 0.0))
-        # An exact zero at a later scan point is caught as a pair whose right
-        # endpoint vanishes; the root solve returns it immediately.
-        for i in sign_change_pairs(fs):
-            brackets.append((ds[i], ds[i + 1], fs[i], fs[i + 1]))
-        if brackets:
-            return brackets, expansions
+    while f_lo * f_hi > 0.0:
         if expansions >= max_expansions:
             raise BracketError(
                 f"no sign change of the shooting residual in "
-                f"[{ds[0]:.4g}, {ds[-1]:.4g}] after {expansions} expansions")
+                f"[{lo:.4g}, {hi:.4g}] after {expansions} expansions")
         expansions += 1
-        if fs[-1] > 0.0:  # residual still positive at the top: root above
-            ds.append(ds[-1] * 4.0)
-            fs.append(miss(ds[-1]))
+        if f_hi > 0.0:  # residual still positive at the top: root above
+            lo, f_lo = hi, f_hi
+            hi *= 4.0
+            f_hi = miss(hi)
         else:
-            ds.insert(0, ds[0] / 4.0)
-            fs.insert(0, miss(ds[0]))
+            hi, f_hi = lo, f_lo
+            lo /= 4.0
+            f_lo = miss(lo)
+    return lo, hi, f_lo, f_hi, expansions
 
 
 @dataclass
@@ -197,15 +198,18 @@ class HenonSolution:
     d0: float        # origin value w(0) of the multiplier-free profile
     mu: float        # minimum of the quotient, ||w||^(p(q-p)/q)
     norm_w: float    # ||w||_{W^1_p}
-    shoot_res: float  # |w'(1)| left by the root solve
+    # Scale-free Neumann residual |F(1)| / ||w||^(p-1) = |v'(1)|^(p-1): the
+    # boundary flux of v left by the root solve.
+    shoot_res: float
     w: RadialFunction
     v: RadialFunction  # w / ||w||
     grid: RadialGrid
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finalize(n, p, q, alpha, grid, d0, shoot_res, value_fn, grad_fn,
+def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
               diagnostics) -> HenonSolution:
+    """Integrate norm and quotient of w; boundary_flux is the F(1) of w."""
     meas = surface_measure(n)
     rq = grid.quad_x
     wq = np.maximum(value_fn(rq), 0.0)
@@ -232,6 +236,7 @@ def _finalize(n, p, q, alpha, grid, d0, shoot_res, value_fn, grad_fn,
                        _deriv_fn=lambda r: inv * np.asarray(grad_fn(r)))
     diagnostics = dict(diagnostics)
     diagnostics["mu_quotient_rel_err"] = float(rel_err)
+    shoot_res = abs(boundary_flux) * inv ** (p - 1.0)
     return HenonSolution(n=n, p=p, q=q, alpha=alpha, d0=float(d0),
                          mu=float(mu), norm_w=float(norm_w),
                          shoot_res=float(shoot_res), w=w, v=v,
@@ -245,10 +250,15 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
                 ) -> HenonSolution:
     """Shoot for the ground state and package profile, mu, and diagnostics.
 
-    The bracket for the origin value is seeded from the large-alpha
-    prediction unless d_lo/d_hi are given.  Bracketing trials run at a
-    relaxed tolerance; only the final profile is integrated at full
-    tolerance with dense output.
+    The bracket for the origin value grows centre-out from the large-alpha
+    prediction; d_lo/d_hi, when given, set the initial pair instead (a
+    missing one sits 10x from the prediction).  Each expansion costs one
+    trial.  The residual is taken to change sign once, as it does for
+    q - p <= 10 (up to half of q_max - p at p >= 3.5); beyond that, at small
+    alpha, it can change sign three times, and the root found is the one
+    the bracket meets, not necessarily the one of least mu.  Bracketing
+    trials run at a relaxed tolerance; only the final profile is integrated
+    at full tolerance with dense output.
     """
     validate_parameters(n, p, q, alpha)
     if max_expansions < 0:
@@ -258,13 +268,6 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     elif grid.n != n:
         raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
 
-    if d_lo is None or d_hi is None:
-        center = _initial_center(n, p, q, alpha)
-        d_lo = center / 10.0 if d_lo is None else d_lo
-        d_hi = center * 10.0 if d_hi is None else d_hi
-    if not 0.0 < d_lo < d_hi:
-        raise ValueError(f"need 0 < d_lo < d_hi, got {d_lo}, {d_hi}")
-
     trials = 0
 
     def miss(d, trial_tol=max(tol, 1e-8)):
@@ -272,46 +275,50 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
         trials += 1
         return shooting_miss(n, p, q, alpha, d, tol=trial_tol)
 
-    brackets, expansions = _bracket(miss, d_lo, d_hi, max_expansions)
-    candidates = []
-    for a, b, fa, fb in brackets:
-        if a == b:
-            d0 = a
-        else:
-            # The quotient is stationary at the root, so mu is quadratically
-            # insensitive to the leftover error in d; modest tolerances do.
-            # The miss values carry integration noise ~ (trajectory scale) x
-            # tol, so the f threshold cannot sit much below 1e-6 relative.
-            d0 = brent_root(lambda d: miss(d, tol), a, b,
-                            f_tol=1e-6 * max(abs(fa), abs(fb)),
-                            x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
-        final = _trial(n, p, q, alpha, d0, tol, dense=True)
-        if final.status != "completed":
-            if len(brackets) > 1:
-                continue  # spurious crossing of a surrogate branch
-            raise ConvergenceError(
-                f"profile at the fitted origin value {d0:.8g} terminated "
-                f"early ({final.status} at r={final.end.radius:.6g})")
-        value_fn, grad_fn = profile_evaluators(
-            final, d0, _flux_coeff(n, p, q, alpha, d0))
-        residual = float(grad_from_flux(final.end.flux, 1.0, p, n))
-        diagnostics = {
-            "bracket": (float(a), float(b)),
-            "expansions": expansions,
-            "ode_steps": int(final.rs.size),
-        }
-        candidates.append(_finalize(n, p, q, alpha, grid, d0, abs(residual),
-                                    value_fn, grad_fn, diagnostics))
-    if not candidates:
+    if d_lo is None and d_hi is None:
+        # Centre-out: a trial at the prediction, then one a factor 2 toward
+        # the side its residual points to.
+        d_lo = d_hi = _initial_center(n, p, q, alpha)
+        f_lo = f_hi = miss(d_lo)
+        if f_lo > 0.0:
+            d_hi *= 2.0
+            f_hi = miss(d_hi)
+        elif f_lo < 0.0:
+            d_lo /= 2.0
+            f_lo = miss(d_lo)
+    else:
+        if d_lo is None or d_hi is None:
+            center = _initial_center(n, p, q, alpha)
+            d_lo = center / 10.0 if d_lo is None else d_lo
+            d_hi = center * 10.0 if d_hi is None else d_hi
+        if not 0.0 < d_lo < d_hi:
+            raise ValueError(f"need 0 < d_lo < d_hi, got {d_lo}, {d_hi}")
+        f_lo, f_hi = miss(d_lo), miss(d_hi)
+
+    a, b, fa, fb, expansions = _bracket(miss, d_lo, d_hi, f_lo, f_hi,
+                                        max_expansions)
+    # The quotient is stationary at the root, so mu is quadratically
+    # insensitive to the leftover error in d.  The stop is judged against
+    # the flux scale d^(p-1), not the endpoint residuals, which a wide
+    # bracket makes arbitrarily large.
+    d0 = brent_root(lambda d: miss(d, tol), a, b,
+                    f_tol=_FLUX_TOL * (a + b) ** (p - 1.0),
+                    x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
+    final = _trial(n, p, q, alpha, d0, tol, dense=True)
+    if final.status != "completed":
         raise ConvergenceError(
-            "every bracketed root produced a profile that terminated early")
-    # With several roots the minimizer is the branch of least quotient value.
-    best = min(candidates, key=lambda sol: sol.mu)
-    best.diagnostics["trials"] = trials
-    if len(candidates) > 1:
-        best.diagnostics["competing_roots"] = [
-            (sol.d0, sol.mu) for sol in candidates]
-    return best
+            f"profile at the fitted origin value {d0:.8g} terminated "
+            f"early ({final.status} at r={final.end.radius:.6g})")
+    value_fn, grad_fn = profile_evaluators(
+        final, d0, _flux_coeff(n, p, q, alpha, d0))
+    diagnostics = {
+        "bracket": (float(a), float(b)),
+        "expansions": expansions,
+        "ode_steps": int(final.rs.size),
+        "trials": trials,
+    }
+    return _finalize(n, p, q, alpha, grid, d0, final.end.flux,
+                     value_fn, grad_fn, diagnostics)
 
 
 def resample(sol: HenonSolution, grid: RadialGrid) -> HenonSolution:
@@ -324,8 +331,9 @@ def resample(sol: HenonSolution, grid: RadialGrid) -> HenonSolution:
         raise ValueError(f"grid was built for n={grid.n}, solution has n={sol.n}")
     diagnostics = dict(sol.diagnostics)
     diagnostics["resampled"] = True
+    boundary_flux = sol.shoot_res * sol.norm_w ** (sol.p - 1.0)
     return _finalize(sol.n, sol.p, sol.q, sol.alpha, grid, sol.d0,
-                     sol.shoot_res, sol.w, sol.w.derivative, diagnostics)
+                     boundary_flux, sol.w, sol.w.derivative, diagnostics)
 
 
 @dataclass

@@ -1,12 +1,16 @@
 """Ground-state shooting: parameter window, identities, and asymptotics."""
+import math
+
 import numpy as np
 import pytest
 
 from henon_lab.errors import BracketError, ConvergenceError
-from henon_lab.henon import (admissible_q_upper, critical_exponent,
-                             derivative_asymptotics, limit_comparison,
-                             resample, solve_henon, validate_parameters)
+from henon_lab.henon import (_initial_center, admissible_q_upper,
+                             critical_exponent, derivative_asymptotics,
+                             limit_comparison, resample, shooting_miss,
+                             solve_henon, validate_parameters)
 from henon_lab.mesh import build_grid
+from henon_lab.rootfind import sign_change_pairs
 from henon_lab.special import surface_measure
 from henon_lab.steklov import bessel_lambda2
 
@@ -32,13 +36,19 @@ def test_parameter_window_messages():
         validate_parameters(4, 2.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="compactness"):
         validate_parameters(4, 2.0, 9.0, 1.0)
+    # A non-finite q fails both comparisons; it is named, not blamed on the
+    # compactness bound.
+    for q in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="q must be finite") as info:
+            validate_parameters(4, 2.0, q, 1.0)
+        assert "compactness" not in str(info.value)
 
 
 def test_quotient_identity_and_residual(ground_state):
     for n, p, q, alpha in [(4, 2.0, 3.0, 50.0), (4, 2.5, 3.0, 200.0)]:
         sol = ground_state(n, p, q, alpha)
         assert sol.diagnostics["mu_quotient_rel_err"] <= 1e-6
-        assert sol.shoot_res <= 1e-6 * sol.d0
+        assert sol.shoot_res <= 1e-8
         assert sol.mu > 0.0 and sol.norm_w > 0.0 and sol.d0 > 0.0
         # v = w / ||w|| carries unit norm through the same quadrature.
         rq = sol.grid.quad_x
@@ -95,13 +105,67 @@ def test_bracket_override_and_failure():
     again = solve_henon(4, 2.0, 3.0, 25.0,
                         d_lo=sol.d0 * 0.8, d_hi=sol.d0 * 1.25)
     assert abs(again.d0 - sol.d0) <= 1e-6 * sol.d0
-    # The root solve stops at a relative f tolerance, so d0 keeps ~1e-8 of
-    # slack; mu inherits at most the same order through the quotient.
+    # The root solve stops at a flux tolerance, so d0 keeps ~1e-8 of slack;
+    # mu inherits at most the same order through the quotient.
     assert abs(again.mu - sol.mu) <= 1e-7 * sol.mu
+    # A pair above the root moves down by 4x: one expansion, one more trial.
+    low = solve_henon(4, 2.0, 3.0, 25.0, d_lo=sol.d0 * 2.0, d_hi=sol.d0 * 3.0)
+    assert low.diagnostics["expansions"] == 1
+    assert low.diagnostics["bracket"] == (sol.d0 * 0.5, sol.d0 * 2.0)
+    assert abs(low.mu - sol.mu) <= 1e-7 * sol.mu
     with pytest.raises(BracketError):
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=1e9, d_hi=2e9, max_expansions=0)
     with pytest.raises(ValueError, match="d_lo < d_hi"):
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=2.0, d_hi=1.0)
+
+
+def _band(n, p):
+    return "p = 2" if p == 2.0 else "2 < p <= 3" if p <= 3.0 else "p > 3"
+
+
+def test_trials_per_solve_by_p_band():
+    # The centre-out bracket costs 2 trials at the prediction and Brent on
+    # the flux a few more; the old 16-point scan alone cost 16.
+    trials = {}
+    for n in (4, 5):
+        for p in (2.0, 2.5 if n == 4 else 3.0, n - 0.5):
+            for alpha in (10.0, 400.0):
+                for dq in (0.1, 2.0):
+                    sol = solve_henon(n, p, p + dq, alpha, refinement=5)
+                    trials.setdefault(_band(n, p), []).append(
+                        sol.diagnostics["trials"])
+    for band, counts in trials.items():
+        assert np.median(counts) <= 8, (band, counts)
+        assert max(counts) <= 16, (band, counts)
+
+
+def test_shooting_residual_has_one_root():
+    # solve_henon brackets a single sign change; this carries the evidence
+    # for that over n, p, alpha and q - p.  Sixteen geometric points span
+    # [c/10, 10c] around the prediction c; where they all share a sign (the
+    # root lies beyond, at small alpha and q near p) the scan continues at
+    # the same ratio toward the root.
+    for n in (3, 4, 5, 6):
+        for p in sorted({2.0, 2.5, 3.0, n - 0.5} - {float(n)}):
+            for alpha in (5.0, 400.0):
+                q_max = admissible_q_upper(n, p, alpha)
+                top = min(10.0, (q_max - p) / 2.0 if p >= 3.5 else q_max - p)
+                for q in (p + 0.05, p + top):
+                    c = _initial_center(n, p, q, alpha)
+                    ds = list(np.geomspace(c / 10.0, 10.0 * c, 16))
+                    ratio = ds[1] / ds[0]
+                    fs = [shooting_miss(n, p, q, alpha, d, tol=1e-6)
+                          for d in ds]
+                    while len(ds) < 32 and not sign_change_pairs(fs):
+                        if fs[-1] > 0.0:
+                            ds.append(ds[-1] * ratio)
+                            fs.append(shooting_miss(n, p, q, alpha, ds[-1],
+                                                    tol=1e-6))
+                        else:
+                            ds.insert(0, ds[0] / ratio)
+                            fs.insert(0, shooting_miss(n, p, q, alpha, ds[0],
+                                                       tol=1e-6))
+                    assert len(sign_change_pairs(fs)) == 1, (n, p, q, alpha)
 
 
 def test_non_finite_quotient_is_a_convergence_error():
