@@ -18,8 +18,9 @@ from .errors import (BracketError, ConvergenceError, IntegrationError,
                      SolverError)
 from .henon import (HenonSolution, LimitPoint, LimitReport, SlopeReport,
                     admissible_q_upper, critical_exponent,
-                    derivative_asymptotics, limit_comparison, resample,
-                    shooting_miss, solve_henon, validate_parameters)
+                    derivative_asymptotics, limit_comparison, one_root_span,
+                    resample, shooting_miss, solve_henon,
+                    validate_parameters)
 from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms, build_grid
 from .second_variation import (EigenprofileReport, PencilResult,
                                PositivityScan, PotentialProfile, ScanCell,
@@ -53,6 +54,7 @@ __all__ = [
     "limit_form_matrix",
     "HenonSolution", "solve_henon", "resample", "shooting_miss",
     "validate_parameters", "critical_exponent", "admissible_q_upper",
+    "one_root_span",
     "SlopeReport", "derivative_asymptotics",
     "LimitPoint", "LimitReport", "limit_comparison",
     "PencilResult", "pencil_forms", "second_variation_forms",

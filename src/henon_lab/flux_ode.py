@@ -124,6 +124,11 @@ def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
+    if not (math.isfinite(seed.value) and math.isfinite(seed.flux)):
+        raise IntegrationError(
+            f"seed state ({seed.value:.6g}, {seed.flux:.6g}) at "
+            f"r={seed.radius:.6g} is not finite", last_radius=seed.radius)
+
     inv_exp = 1.0 / (p - 1.0)
     nm1 = n - 1
 
@@ -131,7 +136,9 @@ def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
         u, flux = y
         df = rhs_flux(r, u)
         if math.isnan(df):
-            raise ValueError(f"flux right-hand side returned NaN at r={r:.6g}")
+            raise IntegrationError(
+                f"flux right-hand side returned NaN at r={r:.6g}",
+                last_radius=r)
         du = math.copysign((abs(flux) / r ** nm1) ** inv_exp, flux)
         return (du, df)
 

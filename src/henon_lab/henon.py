@@ -18,9 +18,13 @@ F(1) = |w'(1)|^(p-2) w'(1) to zero.  The slope w'(1) = sign(F) |F|^(1/(p-1))
 has an infinite derivative at its root when p > 2, which slows Brent's
 method to bisection; the flux does not.  Trials that die (w hits zero) or
 blow up before r = 1 are mapped to continuous surrogate residuals so the
-root-finder sees a single sign change.  The bracket grows centre-out from
-the large-alpha prediction c: one trial at c, one at 2c or c/2 as the
-residual's sign points, then 4x wider per expansion.
+root-finder sees a sign change.  Where the residual is known to change
+sign once (`one_root_span`), the bracket grows centre-out from the
+large-alpha prediction c: one trial at c, one at 2c or c/2 as the
+residual's sign points, then 4x wider per expansion.  Elsewhere (alpha < 5,
+or large q - p) it can change sign three or five times, so sixteen trials
+scan [c/10, 10c], every sign change is solved, and the root of least mu is
+the ground state.
 """
 from __future__ import annotations
 
@@ -29,18 +33,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
+from .errors import BracketError, ConvergenceError, IntegrationError
 from .flux_ode import (SEED_RADIUS, grad_from_flux, integrate_flux_ode,
                        profile_evaluators, series_seed)
 from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
-from .rootfind import brent_root
+from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
 from .steklov import _boundary_quotient, _shoot as _steklov_shot, solve_steklov
 
 __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
-           "admissible_q_upper", "shooting_miss", "solve_henon", "resample",
-           "SlopeReport", "derivative_asymptotics", "LimitPoint",
-           "LimitReport", "limit_comparison"]
+           "admissible_q_upper", "one_root_span", "shooting_miss",
+           "solve_henon", "resample", "SlopeReport", "derivative_asymptotics",
+           "LimitPoint", "LimitReport", "limit_comparison"]
 
 # Trial profiles larger than this multiple of the origin value are classified
 # as blow-up.  The threshold must scale with d: near q = p the true origin
@@ -51,6 +55,7 @@ _CAP_FACTOR = 1e6
 # Brent accepts an origin value once |F(1)| <= _FLUX_TOL (a+b)^(p-1) on the
 # bracket [a, b]: the flux of the trial scales like d^(p-1).
 _FLUX_TOL = 1e-9
+_SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
 _PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -67,6 +72,21 @@ def admissible_q_upper(n: int, p: float, alpha: float) -> float:
     well-defined (and attained) for q up to this alpha-shifted threshold.
     """
     return p * (n + alpha) / (n - p)
+
+
+def one_root_span(n: int, p: float, alpha: float) -> float:
+    """Largest q - p at which the shooting residual changes sign only once.
+
+    min(10, q_max - p), with q_max - p halved at p >= 3.5; zero for p > 3
+    below alpha = 5, where at p >= 3.5 the residual changes sign three times
+    already near q - p = 1.  The residual-scan test in tests/test_henon.py
+    checks this span.  Past it, at q - p of about 20 and alpha <= 60, three
+    sign changes appear again.
+    """
+    if alpha < 5.0 and p > 3.0:
+        return 0.0
+    width = admissible_q_upper(n, p, alpha) - p
+    return min(10.0, width / 2.0 if p >= 3.5 else width)
 
 
 def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
@@ -111,7 +131,11 @@ def _rhs_factory(n: int, p: float, q: float, alpha: float):
 
 
 def _trial(n, p, q, alpha, d, tol, dense=False):
-    seed = series_seed(p, n, d, SEED_RADIUS, _flux_coeff(n, p, q, alpha, d))
+    # d^(q-1) can overflow far above the root; the seed then comes out
+    # non-finite and the integrator raises IntegrationError on it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = _flux_coeff(n, p, q, alpha, np.float64(d))
+    seed = series_seed(p, n, d, SEED_RADIUS, coeff)
     return integrate_flux_ode(_rhs_factory(n, p, q, alpha), seed, 1.0,
                               p=p, n=n, tol=tol,
                               value_cap=_CAP_FACTOR * max(1.0, d),
@@ -163,11 +187,12 @@ def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
 
 def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float,
              max_expansions: int):
-    """Widen [lo, hi] by 4x per expansion until the residual changes sign.
+    """Step [lo, hi] outward until the residual changes sign.
 
     The residual falls with d, so a positive value at hi moves the pair up
-    and a negative value at lo moves it down; each expansion costs one
-    trial.  Returns (lo, hi, f_lo, f_hi, expansions).
+    and a negative value at lo moves it down.  A pair that is one point
+    (lo == hi) takes a first step of 2x, any other pair 4x.  Each expansion
+    costs one trial.  Returns (lo, hi, f_lo, f_hi, expansions).
     """
     expansions = 0
     while f_lo * f_hi > 0.0:
@@ -176,13 +201,14 @@ def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float,
                 f"no sign change of the shooting residual in "
                 f"[{lo:.4g}, {hi:.4g}] after {expansions} expansions")
         expansions += 1
+        step = 2.0 if lo == hi else 4.0
         if f_hi > 0.0:  # residual still positive at the top: root above
             lo, f_lo = hi, f_hi
-            hi *= 4.0
+            hi *= step
             f_hi = miss(hi)
         else:
             hi, f_hi = lo, f_lo
-            lo /= 4.0
+            lo /= step
             f_lo = miss(lo)
     return lo, hi, f_lo, f_hi, expansions
 
@@ -243,66 +269,17 @@ def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
                          grid=grid, diagnostics=diagnostics)
 
 
-def solve_henon(n: int, p: float, q: float, alpha: float, *,
-                grid: RadialGrid | None = None, refinement: int = 8,
-                tol: float = 1e-10, d_lo: float | None = None,
-                d_hi: float | None = None, max_expansions: int = 12
-                ) -> HenonSolution:
-    """Shoot for the ground state and package profile, mu, and diagnostics.
-
-    The bracket for the origin value grows centre-out from the large-alpha
-    prediction; d_lo/d_hi, when given, set the initial pair instead (a
-    missing one sits 10x from the prediction).  Each expansion costs one
-    trial.  The residual is taken to change sign once, as it does for
-    q - p <= 10 (up to half of q_max - p at p >= 3.5); beyond that, at small
-    alpha, it can change sign three times, and the root found is the one
-    the bracket meets, not necessarily the one of least mu.  Bracketing
-    trials run at a relaxed tolerance; only the final profile is integrated
-    at full tolerance with dense output.
-    """
-    validate_parameters(n, p, q, alpha)
-    if max_expansions < 0:
-        raise ValueError("max_expansions must be nonnegative")
-    if grid is None:
-        grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
-    elif grid.n != n:
-        raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
-
-    trials = 0
-
-    def miss(d, trial_tol=max(tol, 1e-8)):
-        nonlocal trials
-        trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=trial_tol)
-
-    if d_lo is None and d_hi is None:
-        # Centre-out: a trial at the prediction, then one a factor 2 toward
-        # the side its residual points to.
-        d_lo = d_hi = _initial_center(n, p, q, alpha)
-        f_lo = f_hi = miss(d_lo)
-        if f_lo > 0.0:
-            d_hi *= 2.0
-            f_hi = miss(d_hi)
-        elif f_lo < 0.0:
-            d_lo /= 2.0
-            f_lo = miss(d_lo)
-    else:
-        if d_lo is None or d_hi is None:
-            center = _initial_center(n, p, q, alpha)
-            d_lo = center / 10.0 if d_lo is None else d_lo
-            d_hi = center * 10.0 if d_hi is None else d_hi
-        if not 0.0 < d_lo < d_hi:
-            raise ValueError(f"need 0 < d_lo < d_hi, got {d_lo}, {d_hi}")
-        f_lo, f_hi = miss(d_lo), miss(d_hi)
-
-    a, b, fa, fb, expansions = _bracket(miss, d_lo, d_hi, f_lo, f_hi,
-                                        max_expansions)
+def _root_profile(n, p, q, alpha, grid, tol, miss, bracket, expansions):
+    """Brent on one bracket, then the full-tolerance profile at its root."""
+    a, b, fa, fb = bracket
     # The quotient is stationary at the root, so mu is quadratically
     # insensitive to the leftover error in d.  The stop is judged against
-    # the flux scale d^(p-1), not the endpoint residuals, which a wide
-    # bracket makes arbitrarily large.
+    # the flux scale d^(p-1), since a wide bracket makes the endpoint
+    # residuals arbitrarily large; but where close roots flatten the
+    # residual, 1e-6 of the endpoint residuals is the tighter test.
     d0 = brent_root(lambda d: miss(d, tol), a, b,
-                    f_tol=_FLUX_TOL * (a + b) ** (p - 1.0),
+                    f_tol=min(_FLUX_TOL * (a + b) ** (p - 1.0),
+                              1e-6 * max(abs(fa), abs(fb))),
                     x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
     final = _trial(n, p, q, alpha, d0, tol, dense=True)
     if final.status != "completed":
@@ -315,10 +292,90 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
         "bracket": (float(a), float(b)),
         "expansions": expansions,
         "ode_steps": int(final.rs.size),
-        "trials": trials,
     }
     return _finalize(n, p, q, alpha, grid, d0, final.end.flux,
                      value_fn, grad_fn, diagnostics)
+
+
+def solve_henon(n: int, p: float, q: float, alpha: float, *,
+                grid: RadialGrid | None = None, refinement: int = 8,
+                tol: float = 1e-10, d_lo: float | None = None,
+                d_hi: float | None = None, max_expansions: int = 12
+                ) -> HenonSolution:
+    """Shoot for the ground state and package profile, mu, and diagnostics.
+
+    Within `one_root_span` the bracket starts from the pair (d_lo, d_hi),
+    each defaulting to the large-alpha prediction c, and steps outward
+    until the residual changes sign.  Beyond it, sixteen trials scan
+    [d_lo, d_hi] (defaults c/10 and 10c) geometrically, each sign change is
+    solved, and the root of least mu is returned; "competing_roots" lists
+    them all when there are several.  Bracketing trials run at a relaxed
+    tolerance; only final profiles are integrated at full tolerance with
+    dense output.
+    """
+    validate_parameters(n, p, q, alpha)
+    if max_expansions < 0:
+        raise ValueError("max_expansions must be nonnegative")
+    if grid is None:
+        grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
+    elif grid.n != n:
+        raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
+
+    scan = q - p > one_root_span(n, p, alpha)
+    if d_lo is None or d_hi is None:
+        center = _initial_center(n, p, q, alpha)
+        spread = 10.0 if scan else 1.0
+        d_lo = center / spread if d_lo is None else d_lo
+        d_hi = center * spread if d_hi is None else d_hi
+    if not 0.0 < d_lo <= d_hi:
+        raise ValueError(f"need 0 < d_lo <= d_hi, got {d_lo}, {d_hi}")
+
+    trials = 0
+
+    def miss(d, trial_tol=max(tol, 1e-8)):
+        nonlocal trials
+        trials += 1
+        return shooting_miss(n, p, q, alpha, d, tol=trial_tol)
+
+    if scan:
+        ds, fs = [], []
+        for d in np.geomspace(d_lo, d_hi, _SCAN_POINTS):
+            try:
+                fs.append(miss(d))
+            except IntegrationError:  # overflow; the neighbours still bracket
+                continue
+            ds.append(d)
+        if not ds:
+            raise BracketError(f"every trial in [{d_lo:.4g}, {d_hi:.4g}] "
+                               "broke down")
+        brackets = [(ds[i], ds[i + 1], fs[i], fs[i + 1])
+                    for i in sign_change_pairs(fs)]
+        d_lo, d_hi, f_lo, f_hi = ds[0], ds[-1], fs[0], fs[-1]
+    else:
+        brackets = []
+        f_lo = miss(d_lo)
+        f_hi = f_lo if d_hi == d_lo else miss(d_hi)
+    expansions = 0
+    if not brackets:
+        *pair, expansions = _bracket(miss, d_lo, d_hi, f_lo, f_hi,
+                                     max_expansions)
+        brackets = [tuple(pair)]
+
+    candidates, error = [], None
+    for bracket in brackets:
+        try:
+            candidates.append(_root_profile(n, p, q, alpha, grid, tol, miss,
+                                            bracket, expansions))
+        except ConvergenceError as exc:  # spurious crossing of a surrogate
+            error = exc
+    if not candidates:
+        raise error
+    best = min(candidates, key=lambda sol: sol.mu)
+    best.diagnostics["trials"] = trials
+    if len(candidates) > 1:
+        best.diagnostics["competing_roots"] = [
+            (sol.d0, sol.mu) for sol in candidates]
+    return best
 
 
 def resample(sol: HenonSolution, grid: RadialGrid) -> HenonSolution:

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from henon_lab.errors import BracketError, ConvergenceError
+from henon_lab.errors import BracketError, ConvergenceError, IntegrationError
 from henon_lab.henon import (_initial_center, admissible_q_upper,
                              critical_exponent, derivative_asymptotics,
-                             limit_comparison, resample, shooting_miss,
-                             solve_henon, validate_parameters)
+                             limit_comparison, one_root_span, resample,
+                             shooting_miss, solve_henon, validate_parameters)
 from henon_lab.mesh import build_grid
 from henon_lab.rootfind import sign_change_pairs
 from henon_lab.special import surface_measure
@@ -115,7 +115,7 @@ def test_bracket_override_and_failure():
     assert abs(low.mu - sol.mu) <= 1e-7 * sol.mu
     with pytest.raises(BracketError):
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=1e9, d_hi=2e9, max_expansions=0)
-    with pytest.raises(ValueError, match="d_lo < d_hi"):
+    with pytest.raises(ValueError, match="d_lo <= d_hi"):
         solve_henon(4, 2.0, 3.0, 25.0, d_lo=2.0, d_hi=1.0)
 
 
@@ -140,17 +140,18 @@ def test_trials_per_solve_by_p_band():
 
 
 def test_shooting_residual_has_one_root():
-    # solve_henon brackets a single sign change; this carries the evidence
-    # for that over n, p, alpha and q - p.  Sixteen geometric points span
-    # [c/10, 10c] around the prediction c; where they all share a sign (the
-    # root lies beyond, at small alpha and q near p) the scan continues at
-    # the same ratio toward the root.
+    # Within one_root_span solve_henon brackets a single sign change; this
+    # carries the evidence for that over n, p, alpha and q - p.  Sixteen
+    # geometric points span [c/10, 10c] around the prediction c; where they
+    # all share a sign (the root lies beyond, at small alpha and q near p)
+    # the scan continues at the same ratio toward the root.
     for n in (3, 4, 5, 6):
         for p in sorted({2.0, 2.5, 3.0, n - 0.5} - {float(n)}):
-            for alpha in (5.0, 400.0):
-                q_max = admissible_q_upper(n, p, alpha)
-                top = min(10.0, (q_max - p) / 2.0 if p >= 3.5 else q_max - p)
-                for q in (p + 0.05, p + top):
+            for alpha in (0.0, 5.0, 400.0, 3000.0):
+                top = one_root_span(n, p, alpha)
+                if top == 0.0:
+                    continue
+                for q in (p + min(0.05, top / 2.0), p + top):
                     c = _initial_center(n, p, q, alpha)
                     ds = list(np.geomspace(c / 10.0, 10.0 * c, 16))
                     ratio = ds[1] / ds[0]
@@ -166,6 +167,31 @@ def test_shooting_residual_has_one_root():
                             fs.insert(0, shooting_miss(n, p, q, alpha, ds[0],
                                                        tol=1e-6))
                     assert len(sign_change_pairs(fs)) == 1, (n, p, q, alpha)
+
+
+def test_several_roots_beyond_one_root_span():
+    # At q - p = 42.75, alpha = 5 the residual changes sign three times; the
+    # root the centre-out bracket would meet has mu = 4.96, the ground state
+    # mu = 1.179.  The scan solves all three and keeps the least.
+    assert 42.75 > one_root_span(5, 4.5, 5.0)
+    sol = solve_henon(5, 4.5, 47.25, 5.0)
+    roots = sol.diagnostics["competing_roots"]
+    assert len(roots) == 3
+    assert sol.mu == min(mu for _, mu in roots)
+    assert abs(sol.mu - 1.1792) <= 1e-3
+    assert sol.diagnostics["mu_quotient_rel_err"] <= 1e-8
+    # Close roots flatten the residual there; the flux-scale stop alone
+    # left a quotient error of 5e-6 at this ground state.
+    flat = solve_henon(6, 5.5, 63.25, 5.0)
+    assert abs(flat.mu - 0.253783) <= 1e-6
+    assert flat.diagnostics["mu_quotient_rel_err"] <= 1e-7
+    # A scan trial whose seed overflows (at 10c here) is left out, and the
+    # other fifteen still bracket the root.
+    far = solve_henon(4, 3.0, 607.5, 400.0)
+    assert abs(far.mu - 4.26861) <= 1e-4
+    assert "competing_roots" not in far.diagnostics
+    with pytest.raises(IntegrationError, match="not finite"):
+        shooting_miss(4, 3.0, 607.5, 400.0, 10.0 * far.d0)
 
 
 def test_non_finite_quotient_is_a_convergence_error():
