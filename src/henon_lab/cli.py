@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +268,8 @@ def _run_sweep(args) -> dict:
     tasks = [(i, point, refinement, tol, output_dir)
              for i, point in enumerate(points)]
     if parallelism > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_sweep_point, tasks))  # input order
     else:

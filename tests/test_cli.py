@@ -2,12 +2,15 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cli_child import run_cli
+from cli_child import PACKAGE_PARENT, run_cli
 from henon_lab import compute_ipn, solve_henon, solve_steklov
 from henon_lab.cli import trapezoid_quotient
 
@@ -159,6 +162,18 @@ def test_exit_codes(tmp_path):
     proc = run_cli("sweep", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert record_of(proc)["error"]["type"] == "FileNotFoundError"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only a parallel sweep needs a process pool; plain commands do not pay
+    # for importing it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, henon_lab.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep(tmp_path):

@@ -1,11 +1,17 @@
 """Second-variation pencil: assembly identities, eigensolver, diagnostics."""
+import contextlib
+import io
+import json
+import time
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
+from henon_lab import cli, second_variation
 from henon_lab.errors import ConvergenceError
 from henon_lab.mesh import build_grid
-from henon_lab.second_variation import (eigenprofile_properties,
+from henon_lab.second_variation import (dense_min_eig,
+                                        eigenprofile_properties,
                                         eigenprofile_steepness,
                                         min_second_variation, pencil_forms,
                                         pencil_min_eig, positivity_scan,
@@ -63,23 +69,92 @@ def test_limit_pencil_is_positive(steklov):
     assert h[-1] >= 0.0
 
 
-def test_eigensolver_start_invariance(ground_state):
-    sol = ground_state(4, 2.0, 3.0, 50.0)
-    a_form, b_form = second_variation_forms(sol)
-    s1, h1, _ = pencil_min_eig(a_form, b_form)
-    s2, h2, _ = pencil_min_eig(a_form, b_form,
-                               start=1e6 * np.ones(a_form.size))
-    assert abs(s1 - s2) <= 1e-10 * max(1.0, abs(s1))
-    assert np.max(np.abs(h1 - h2)) <= 1e-6 * np.max(np.abs(h1))
-
-
 def test_coarse_pencil_matches_dense(ground_state):
     sol = ground_state(4, 2.0, 3.0, 50.0)
     grid = build_grid(4, refinement=4)
     a_form, b_form = second_variation_forms(sol, grid=grid)
     sigma, _, _ = pencil_min_eig(a_form, b_form)
-    dense = eigh(a_form.to_dense(), b_form.to_dense(), eigvals_only=True)
-    assert abs(sigma - dense[0]) <= 1e-12 * max(1.0, abs(dense[0]))
+    dense = dense_min_eig(a_form, b_form)
+    assert abs(sigma - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def _backward_error_bound(size):
+    return 4.0 * size * np.finfo(float).eps
+
+
+def test_single_path_without_dense_solve(ground_state, monkeypatch):
+    # Inverse iteration meets its backward-error test on its own at sizes
+    # where a plain normwise residual cannot be met, so nothing dense runs.
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    grid10 = build_grid(4, refinement=10, alpha_hint=400.0)
+    reference = dense_min_eig(*second_variation_forms(sol, grid=grid10))
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(second_variation, "eigh", no_dense)
+    result = min_second_variation(sol, grid=grid10)
+    assert result.diagnostics["method"] == "sturm+inverse"
+    assert (result.diagnostics["residual"]
+            <= _backward_error_bound(grid10.num_nodes))
+    assert abs(result.sigma - reference) <= 1e-8 * abs(reference)
+
+    grid12 = build_grid(4, refinement=12, alpha_hint=400.0)
+    t0 = time.perf_counter()
+    fine = min_second_variation(sol, grid=grid12)
+    elapsed = time.perf_counter() - t0
+    assert fine.diagnostics["method"] == "sturm+inverse"
+    assert (fine.diagnostics["residual"]
+            <= _backward_error_bound(grid12.num_nodes))
+    # Refinements 10 and 12 differ by discretization error only.
+    assert abs(fine.sigma - reference) <= 1e-6 * abs(reference)
+    assert elapsed < 2.0
+
+
+def test_singular_shift_steps_off_the_zero_pivot(ground_state, monkeypatch):
+    # The first shifted factorization of this pencil is exactly singular;
+    # the shift steps down and the iteration carries on.
+    sol = ground_state(3, 2.0, 2.1111932638798687, 20.665832096064587)
+    solve = second_variation.solve_banded
+    singular = []
+
+    def spy(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            singular.append(True)
+            raise
+
+    monkeypatch.setattr(second_variation, "solve_banded", spy)
+    result = min_second_variation(sol)
+    assert singular
+    diag = result.diagnostics
+    assert diag["method"] == "sturm+inverse"
+    assert np.isfinite(diag["residual"])
+    assert diag["residual"] <= _backward_error_bound(sol.grid.num_nodes)
+    assert abs(result.sigma - 0.72385163727) <= 1e-9 * 0.72385163727
+
+
+def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(second_variation, "solve_banded", singular)
+    with pytest.raises(ConvergenceError, match="backward error"):
+        pencil_min_eig(*forms)
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["second-variation", "--n", "4", "--p", "2", "--q",
+                         "3", "--alpha", "400", "--refine", "6"])
+    assert code == 1
+    record, end = json.JSONDecoder().raw_decode(out.getvalue())
+    assert not out.getvalue()[end:].strip()
+    assert record["error"]["type"] == "ConvergenceError"
 
 
 def test_min_second_variation_packaging(ground_state):
