@@ -124,8 +124,9 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     width; inverse iteration shifted just below the bracket then recovers
     the eigenvector.  It stops once the backward error
     ||A h - rho B h|| / || |A||h| + |rho||B||h| || (2-norms, reported as
-    `residual`) is at most 4 N eps.  A shift that hits an exact zero pivot
-    is stepped down and the matrix refactored, as in LAPACK's dstein.
+    `residual`) is at most 4 N eps and a further step no longer halves it.
+    A shift that hits an exact zero pivot is stepped down and the matrix
+    refactored, as in LAPACK's dstein.
     Missing the test in 30 steps, or a Rayleigh quotient rho off the
     bisected sigma by more than 1e-7 relative, raises ConvergenceError.
     """
@@ -170,7 +171,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
     h = np.ones(size) / math.sqrt(b_form.quad_form(np.ones(size)))
-    rho, backward = sigma, np.inf
+    rho, backward, previous = sigma, np.inf, np.inf
     for iterations in range(1, 31):
         band[0, 1:] = a_form.off - shift * b_form.off
         band[1] = a_form.diag - shift * b_form.diag
@@ -190,8 +191,13 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
         abs_h = np.abs(h)
         magnitude = abs_a.matvec(abs_h) + abs(rho) * abs_b.matvec(abs_h)
         backward = float(np.linalg.norm(resid) / np.linalg.norm(magnitude))
-        if backward <= tol:
+        # Meeting the test does not mean the iterate has settled: at
+        # (5, 2.998, 3.19, 380), ell = 1, N = 2561, the step that met it
+        # left a normwise residual of 1.2e-8 and the next one 3e-13.  So,
+        # like dstein's extra steps, go on while a step still halves it.
+        if backward <= tol and backward >= 0.5 * previous:
             break
+        previous = backward
     if backward > tol or abs(rho - sigma) > 1e-7 * max(1.0, abs(sigma)):
         raise ConvergenceError(
             f"inverse iteration ended at backward error {backward:.3g} "

@@ -135,6 +135,25 @@ def test_singular_shift_steps_off_the_zero_pivot(ground_state, monkeypatch):
     assert abs(result.sigma - 0.72385163727) <= 1e-9 * 0.72385163727
 
 
+def test_iteration_settles_past_the_backward_error_test(ground_state):
+    # The step that first meets the backward-error test here still leaves
+    # a normwise residual of 1.2e-8, above the 1e-8 that second-variation
+    # records state; the steps after it settle the eigenvector.
+    n, p, q, alpha = 5, 2.9983314369848033, 3.1935803293829714, \
+        380.2162309461887
+    sol = ground_state(n, p, q, alpha)
+    grid = build_grid(n, refinement=11, alpha_hint=alpha)
+    a_form, b_form = second_variation_forms(sol, grid=grid)
+    result = min_second_variation(sol, grid=grid)
+    h = result.h.values
+    ah, bh = a_form.matvec(h), b_form.matvec(h)
+    normwise = (np.linalg.norm(ah - result.sigma * bh)
+                / (np.linalg.norm(ah) + abs(result.sigma) * np.linalg.norm(bh)))
+    assert normwise <= 1e-8
+    assert result.diagnostics["residual"] <= _backward_error_bound(
+        grid.num_nodes)
+
+
 def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
     sol = ground_state(4, 2.0, 3.0, 400.0)
     forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
