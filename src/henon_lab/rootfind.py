@@ -28,6 +28,13 @@ def brent_root(f: Callable[[float], float], a: float, b: float, *,
     a, b = float(a), float(b)
     fa = float(f(a)) if fa is None else float(fa)
     fb = float(f(b)) if fb is None else float(fb)
+    return _brent(f, a, b, fa, fb, f_tol, x_tol, max_iter)
+
+
+def _brent(f, a, b, fa, fb, f_tol, x_tol, max_iter):
+    # brent_root after its argument handling.  flux_ode locates ODE events
+    # with this core, so that each brent_root call stays one root solve of a
+    # solver (perfbench/tracer.py counts those calls).
     if fa == 0.0:
         return a
     if fb == 0.0:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, solve_banded
 
 from .errors import ConvergenceError, SolverError
 from .henon import HenonSolution, solve_henon
@@ -208,6 +207,18 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     diagnostics = {"method": "sturm+inverse", "iterations": iterations,
                    "bisection_width": float(width), "residual": backward}
     return float(rho), h, diagnostics
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on the first call."""
+    from scipy.linalg import solve_banded as solve
+    return solve(*args, **kwargs)
+
+
+def eigh(*args, **kwargs):
+    """scipy.linalg.eigh, imported on the first call."""
+    from scipy.linalg import eigh as dense_eigh
+    return dense_eigh(*args, **kwargs)
 
 
 def dense_min_eig(a_form: TridiagForm, b_form: TridiagForm) -> float:

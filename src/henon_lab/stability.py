@@ -14,11 +14,12 @@ bound lambda_p <= (1 - I_{p,n})/n; every link of that chain, including the
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .henon import critical_exponent
@@ -34,7 +35,15 @@ __all__ = ["StabilityPoint", "AppendixTableRow", "ChainLink", "ChainReport",
            "g_cap_derivative", "appendix_table", "verify_appendix_chain"]
 
 _E = math.e
+_EPS = sys.float_info.epsilon
 _P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
+
+
+@functools.lru_cache(maxsize=256)
+def _lambda_p(n: int, p: float) -> float:
+    """steklov_eigenvalue(n, p), shot once per (n, p) at its default
+    tolerance: K, its scale, q_loc and the inequality chain each need it."""
+    return steklov_eigenvalue(n, p)
 
 
 def conjugate_exponent(p: float) -> float:
@@ -53,7 +62,7 @@ def compute_k(n: int, p: float, q: float,
               lambda_p: float | None = None) -> float:
     """Stability constant K(n, p, q); positive means the mode is stable."""
     if lambda_p is None:
-        lambda_p = steklov_eigenvalue(n, p)
+        lambda_p = _lambda_p(n, p)
     return (stability_scale(n, p, lambda_p)
             * (lambda_p ** (-p / (p - 1.0)) * (1.0 - (n - 1.0) * lambda_p)
                - (q - 1.0)))
@@ -62,7 +71,7 @@ def compute_k(n: int, p: float, q: float,
 def stability_scale(n: int, p: float, lambda_p: float | None = None) -> float:
     """Prefactor lambda_p^(2/p) |S|^(2/p-1); the natural magnitude of K."""
     if lambda_p is None:
-        lambda_p = steklov_eigenvalue(n, p)
+        lambda_p = _lambda_p(n, p)
     return lambda_p ** (2.0 / p) * surface_measure(n) ** (2.0 / p - 1.0)
 
 
@@ -83,7 +92,7 @@ class StabilityPoint:
 
 
 def stability_point(n: int, p: float, q: float) -> StabilityPoint:
-    lam = steklov_eigenvalue(n, p)
+    lam = _lambda_p(n, p)
     t = t_star(n, p)
     return StabilityPoint(n=n, p=p, q=q, lambda_p=lam,
                           k_value=compute_k(n, p, q, lam),
@@ -100,7 +109,7 @@ def find_q_loc(n: int, p: float, *, lambda_p: float | None = None,
     outside (p, p*); callers decide how to report such boundary cases.
     """
     if lambda_p is None:
-        lambda_p = steklov_eigenvalue(n, p)
+        lambda_p = _lambda_p(n, p)
     lo, f_lo = 1.0, compute_k(n, p, 1.0, lambda_p)
     hi = max(4.0, 2.0 * p)
     f_hi = compute_k(n, p, hi, lambda_p)
@@ -152,9 +161,18 @@ def compute_ipn(n: int, p: float) -> float:
     kap = kappa_value(n, p)
     pc = conjugate_exponent(p)
     expo = n / pc
-    integral, _ = quad(lambda t: t ** expo * math.exp(kap * t), 0.0, 1.0,
-                       epsabs=1e-12, epsrel=1e-12)
-    return math.exp(-kap) * kap / pc * integral
+    # int_0^1 t^a e^(kappa t) dt = sum_j kappa^j / (j! (a + j + 1)); every
+    # term is positive, so the sum stops once a term is below eps of it.
+    power = 1.0  # kappa^j / j!
+    integral = 1.0 / (expo + 1.0)
+    j = 0
+    while True:
+        j += 1
+        power *= kap / j
+        term = power / (expo + j + 1.0)
+        integral += term
+        if term < _EPS * integral:
+            return math.exp(-kap) * kap / pc * integral
 
 
 def t_star(n: int, p: float) -> float:
@@ -273,7 +291,7 @@ def verify_appendix_chain(n: int, p: float) -> ChainReport:
 
     A failing link is a result, not an error; the margins are the point.
     """
-    lam = steklov_eigenvalue(n, p)
+    lam = _lambda_p(n, p)
     ipn = compute_ipn(n, p)
     kap = kappa_value(n, p)
     pc = conjugate_exponent(p)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
@@ -183,6 +182,8 @@ def limit_form_min_numeric(sol: SteklovSolution,
     boundary column moved to the right-hand side; the matrix is symmetric
     positive definite, so a banded Cholesky solve suffices.
     """
+    from scipy.linalg import solveh_banded
+
     if grid is None:
         grid = sol.grid
     form = limit_form_matrix(sol, grid)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError
 from .henon import validate_parameters
@@ -28,6 +27,12 @@ __all__ = ["VariationalResult", "minimize_quotient"]
 
 _FLOOR = 1e-12  # lower bound on node values; keeps |u|^(q-2) finite
 _MAX_ITER = 2000  # L-BFGS iterations; evaluations are capped at ten times this
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass

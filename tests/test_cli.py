@@ -176,6 +176,38 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_out():
+    # numpy is the whole runtime at import; scipy loads on first use.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, henon_lab.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_second_variation_loads_only_scipy_linalg():
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "from henon_lab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['second-variation', '--n', '4', '--p', '2', '--q',",
+        "                 '3', '--alpha', '400', '--refine', '6'])",
+        "print(json.dumps([code, sorted(m for m in sys.modules",
+        "                                if m.startswith('scipy.'))]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert "scipy.linalg" in modules
+    assert not any(m.startswith(("scipy.integrate", "scipy.optimize"))
+                   for m in modules)
+
+
 def test_sweep(tmp_path):
     config = {
         "points": [

@@ -1,11 +1,16 @@
-"""Flux-form integration against closed-form radial solutions."""
+"""Flux-form integration against closed-form radial solutions and scipy."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from henon_lab.flux_ode import (FluxState, grad_from_flux, integrate_flux_ode,
-                                profile_evaluators, series_seed)
+from henon_lab import flux_ode, henon
+from henon_lab.errors import IntegrationError
+from henon_lab.flux_ode import (SEED_RADIUS, FluxState, grad_from_flux,
+                                integrate_flux_ode, profile_evaluators,
+                                series_seed)
 
 
 def _linear_rhs(n):
@@ -109,3 +114,119 @@ def test_profile_evaluators_splice_below_seed():
     # The startup gradient follows r^(1/(p-1)) with the flux coefficient.
     expect = (1.0 / n) ** (1.0 / (p - 1.0)) * (5e-5) ** (1.0 / (p - 1.0))
     assert abs(grad_fn(5e-5) - expect) / expect < 1e-10
+
+
+def _scipy_rk45(rhs_flux, seed, p, n, tol, value_cap=None, stop=False):
+    """The same integration through scipy's solve_ivp (RK45), events and
+    all, as the package ran it before it had its own stepper."""
+    from scipy.integrate import solve_ivp
+
+    inv_exp = 1.0 / (p - 1.0)
+
+    def rhs(r, y):
+        return (math.copysign((abs(y[1]) / r ** (n - 1)) ** inv_exp, y[1]),
+                rhs_flux(r, y[0]))
+
+    events = []
+    if value_cap is not None:
+        def cap(r, y):
+            return value_cap - abs(y[0])
+        cap.terminal = True
+        events.append(cap)
+    if stop:
+        def zero(r, y):
+            return y[0]
+        zero.terminal = True
+        zero.direction = -1
+        events.append(zero)
+    sol = solve_ivp(rhs, (seed.radius, 1.0), (seed.value, seed.flux),
+                    method="RK45", rtol=tol, atol=tol, dense_output=True,
+                    events=events or None)
+    status = "completed"
+    if sol.status == 1:
+        status = "capped" if value_cap is not None and sol.t_events[0].size \
+            else "hit_zero"
+    return sol, status
+
+
+def _henon_case(n, p, q, alpha, center_factor):
+    d = center_factor * henon._initial_center(n, p, q, alpha)
+    seed = series_seed(p, n, d, SEED_RADIUS,
+                       henon._flux_coeff(n, p, q, alpha, d))
+    return henon._rhs_factory(n, p, q, alpha), seed, d
+
+
+def _steklov_case():
+    seed = series_seed(2.5, 4, 1.0, SEED_RADIUS, 1.0 / 4)
+    return (lambda r, u: r ** 3 * u ** 1.5), seed
+
+
+@pytest.mark.parametrize("case", ["steklov", "hit_zero", "capped"])
+def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
+    # Same tableau, initial step, error norm and step control as scipy's
+    # RK45, so the same steps are accepted and rejected.  States agree to
+    # rounding here.  scipy sums the stages with BLAS (fused multiply-adds),
+    # and over 234 Henon trials step control amplified that rounding to
+    # 5e-11 relative at worst, without changing a single step count.
+    if case == "steklov":
+        (rhs_flux, seed), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
+            1e-10, None, False
+    elif case == "hit_zero":
+        rhs_flux, seed, d = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
+        p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6 * d, True
+    else:
+        rhs_flux, seed, d = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
+        p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2 * d, True
+    runs = []
+    stepper = flux_ode.solve_ivp
+
+    def spy(*args, **kwargs):
+        runs.append(stepper(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(flux_ode, "solve_ivp", spy)
+    traj = integrate_flux_ode(rhs_flux, seed, p=p, n=n, tol=tol,
+                              value_cap=cap, stop_on_nonpositive=stop)
+    ref, status = _scipy_rk45(rhs_flux, seed, p, n, tol, cap, stop)
+    assert traj.status == status == ("completed" if case == "steklov"
+                                     else case)
+    assert traj.rs.size == ref.t.size
+    assert runs[0].nfev == ref.nfev
+    assert abs(traj.end.radius - ref.t[-1]) <= 1e-12 * ref.t[-1]
+    # Relative to each component's size along the run: a zero crossing
+    # ends at u = 0, where a plain relative error means nothing.
+    scale = np.max(np.abs(ref.y), axis=1)
+    end = np.array([traj.end.value, traj.end.flux])
+    assert np.all(np.abs(end - ref.y[:, -1]) <= 1e-12 * scale)
+    r = np.linspace(traj.rs[0], traj.rs[-1], 1000)
+    dense = np.stack([traj.value_at(r), traj.flux_at(r)])
+    assert np.all(np.abs(dense - ref.sol(r)) <= 1e-12 * scale[:, None])
+
+
+def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
+    # At q = 607.5, w^(q-1) overflows once w > 3.223.  From d = 3.0 the
+    # trial's largest value is 3.08, but trial stages overshoot past the
+    # threshold in mid-integration; those steps are rejected and shrunk,
+    # and the trial is classified.  From d = 3.2 the solution itself
+    # crosses the threshold, and the run ends as an IntegrationError.
+    overflows = []
+    factory = henon._rhs_factory
+
+    def watched(*params):
+        rhs = factory(*params)
+
+        def spy(r, w):
+            try:
+                return rhs(r, w)
+            except OverflowError:
+                overflows.append(r)
+                raise
+        return spy
+
+    monkeypatch.setattr(henon, "_rhs_factory", watched)
+    assert henon._trial(4, 3.0, 607.5, 400.0, 3.0, 1e-8).status == "hit_zero"
+    assert overflows and min(overflows) > SEED_RADIUS
+    overflows.clear()
+    with pytest.raises(IntegrationError, match="stalled"):
+        henon._trial(4, 3.0, 607.5, 400.0, 3.2, 1e-8)
+    assert overflows and min(overflows) > SEED_RADIUS

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from henon_lab import stability, steklov
 from henon_lab.errors import ConvergenceError
 from henon_lab.stability import (appendix_table, compute_ipn, compute_k,
                                  conjugate_exponent, find_p_loc, find_q_loc,
@@ -75,6 +76,39 @@ def test_ipn_and_eigenvalue_bound():
         compute_ipn(4, 4.5)
     with pytest.raises(ValueError, match="integer >= 3"):
         compute_ipn(2.5, 2.0)
+
+
+def test_ipn_series_matches_mpmath_quadrature():
+    import mpmath
+
+    for n in range(3, 9):
+        for p in np.linspace(2.0, n, 9)[:-1]:
+            with mpmath.workdps(30):
+                kap = mpmath.mpf(kappa_value(n, p))
+                pc = mpmath.mpf(conjugate_exponent(p))
+                a = n / pc
+                integral = mpmath.quad(
+                    lambda t: t ** a * mpmath.exp(kap * t), [0, 1])
+                want = float(mpmath.exp(-kap) * kap / pc * integral)
+            assert abs(compute_ipn(n, p) - want) <= 1e-13 * want, (n, p)
+
+
+def test_stability_chain_shoots_lambda_once(monkeypatch):
+    shots = []
+    shoot = steklov._shoot
+
+    def counted(*args, **kwargs):
+        shots.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(steklov, "_shoot", counted)
+    stability._lambda_p.cache_clear()
+    point = stability_point(5, 2.75, 3.0)
+    chain = verify_appendix_chain(5, 2.75)
+    assert chain.lambda_p is point.lambda_p
+    assert find_q_loc(5, 2.75) == find_q_loc(5, 2.75, lambda_p=chain.lambda_p)
+    assert stability_scale(5, 2.75) == stability_scale(5, 2.75, chain.lambda_p)
+    assert len(shots) == 1
 
 
 def test_q_loc():
