@@ -189,7 +189,7 @@ def _run_stability(args) -> dict:
             results["p_loc"] = None
     else:
         results["p_loc"] = None  # no root below p = 2 in dimension 3
-    chain = verify_appendix_chain(args.n, args.p)
+    chain = verify_appendix_chain(args.n, args.p, lam)
     results["chain"] = {
         "all_hold": chain.all_hold,
         "links": [{"name": link.name, "margin": link.margin,

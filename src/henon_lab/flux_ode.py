@@ -339,7 +339,8 @@ def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
     Parameters
     ----------
     rhs_flux : callable
-        F'(r) = rhs_flux(r, u).
+        F'(r) = rhs_flux(r, u).  A NaN or complex result ends the run as
+        an IntegrationError.
     value_cap : float, optional
         Terminate (status 'capped') once |u| exceeds this blow-up threshold.
     stop_on_nonpositive : bool
@@ -361,9 +362,11 @@ def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
 
     def rhs(r, u, flux):
         df = rhs_flux(r, u)
-        if math.isnan(df):
+        # On plain floats a negative base to a fractional power is complex
+        # where numpy gave NaN; both mean the right-hand side is undefined.
+        if isinstance(df, complex) or math.isnan(df):
             raise IntegrationError(
-                f"flux right-hand side returned NaN at r={r:.6g}",
+                f"flux right-hand side returned {df!r} at r={r:.6g}",
                 last_radius=r)
         return math.copysign((abs(flux) / r ** nm1) ** inv_exp, flux), df
 

@@ -14,7 +14,6 @@ bound lambda_p <= (1 - I_{p,n})/n; every link of that chain, including the
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -39,13 +38,6 @@ _EPS = sys.float_info.epsilon
 _P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
 
 
-@functools.lru_cache(maxsize=256)
-def _lambda_p(n: int, p: float) -> float:
-    """steklov_eigenvalue(n, p), shot once per (n, p) at its default
-    tolerance: K, its scale, q_loc and the inequality chain each need it."""
-    return steklov_eigenvalue(n, p)
-
-
 def conjugate_exponent(p: float) -> float:
     """Holder conjugate p' = p/(p-1)."""
     if not p > 1.0:
@@ -62,7 +54,7 @@ def compute_k(n: int, p: float, q: float,
               lambda_p: float | None = None) -> float:
     """Stability constant K(n, p, q); positive means the mode is stable."""
     if lambda_p is None:
-        lambda_p = _lambda_p(n, p)
+        lambda_p = steklov_eigenvalue(n, p)
     return (stability_scale(n, p, lambda_p)
             * (lambda_p ** (-p / (p - 1.0)) * (1.0 - (n - 1.0) * lambda_p)
                - (q - 1.0)))
@@ -71,7 +63,7 @@ def compute_k(n: int, p: float, q: float,
 def stability_scale(n: int, p: float, lambda_p: float | None = None) -> float:
     """Prefactor lambda_p^(2/p) |S|^(2/p-1); the natural magnitude of K."""
     if lambda_p is None:
-        lambda_p = _lambda_p(n, p)
+        lambda_p = steklov_eigenvalue(n, p)
     return lambda_p ** (2.0 / p) * surface_measure(n) ** (2.0 / p - 1.0)
 
 
@@ -92,7 +84,7 @@ class StabilityPoint:
 
 
 def stability_point(n: int, p: float, q: float) -> StabilityPoint:
-    lam = _lambda_p(n, p)
+    lam = steklov_eigenvalue(n, p)
     t = t_star(n, p)
     return StabilityPoint(n=n, p=p, q=q, lambda_p=lam,
                           k_value=compute_k(n, p, q, lam),
@@ -109,7 +101,7 @@ def find_q_loc(n: int, p: float, *, lambda_p: float | None = None,
     outside (p, p*); callers decide how to report such boundary cases.
     """
     if lambda_p is None:
-        lambda_p = _lambda_p(n, p)
+        lambda_p = steklov_eigenvalue(n, p)
     lo, f_lo = 1.0, compute_k(n, p, 1.0, lambda_p)
     hi = max(4.0, 2.0 * p)
     f_hi = compute_k(n, p, hi, lambda_p)
@@ -286,12 +278,13 @@ class ChainReport:
         raise KeyError(name)
 
 
-def verify_appendix_chain(n: int, p: float) -> ChainReport:
+def verify_appendix_chain(n: int, p: float,
+                          lambda_p: float | None = None) -> ChainReport:
     """Evaluate each inequality in the chain behind K(n, p, p) > 0.
 
     A failing link is a result, not an error; the margins are the point.
     """
-    lam = _lambda_p(n, p)
+    lam = steklov_eigenvalue(n, p) if lambda_p is None else lambda_p
     ipn = compute_ipn(n, p)
     kap = kappa_value(n, p)
     pc = conjugate_exponent(p)

@@ -230,3 +230,10 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
     with pytest.raises(IntegrationError, match="stalled"):
         henon._trial(4, 3.0, 607.5, 400.0, 3.2, 1e-8)
     assert overflows and min(overflows) > SEED_RADIUS
+
+
+def test_complex_rhs_is_an_integration_error():
+    # u falls through zero, and u ** 1.5 of a negative float is complex.
+    with pytest.raises(IntegrationError, match="complex|j\\)"):
+        integrate_flux_ode(lambda r, u: u ** 1.5, FluxState(0.1, 1.0, -1.0),
+                           p=2.0, n=3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from henon_lab import stability, steklov
+from henon_lab import steklov
 from henon_lab.errors import ConvergenceError
 from henon_lab.stability import (appendix_table, compute_ipn, compute_k,
                                  conjugate_exponent, find_p_loc, find_q_loc,
@@ -93,7 +93,8 @@ def test_ipn_series_matches_mpmath_quadrature():
             assert abs(compute_ipn(n, p) - want) <= 1e-13 * want, (n, p)
 
 
-def test_stability_chain_shoots_lambda_once(monkeypatch):
+def test_chain_reuses_a_given_lambda(monkeypatch):
+    lam = steklov_eigenvalue(5, 2.75)
     shots = []
     shoot = steklov._shoot
 
@@ -102,12 +103,9 @@ def test_stability_chain_shoots_lambda_once(monkeypatch):
         return shoot(*args, **kwargs)
 
     monkeypatch.setattr(steklov, "_shoot", counted)
-    stability._lambda_p.cache_clear()
-    point = stability_point(5, 2.75, 3.0)
-    chain = verify_appendix_chain(5, 2.75)
-    assert chain.lambda_p is point.lambda_p
-    assert find_q_loc(5, 2.75) == find_q_loc(5, 2.75, lambda_p=chain.lambda_p)
-    assert stability_scale(5, 2.75) == stability_scale(5, 2.75, chain.lambda_p)
+    given = verify_appendix_chain(5, 2.75, lam)
+    assert shots == []
+    assert given == verify_appendix_chain(5, 2.75)
     assert len(shots) == 1
 
 
