@@ -18,9 +18,11 @@ __all__ = [
     "RadialFunction",
     "TridiagForm",
     "assemble_forms",
+    "ldlt", "ldlt_solve",
 ]
 
 MAX_REFINEMENT = 12
+ZERO_PIVOT = -1e-300  # what `ldlt` stores for an exact zero pivot
 
 
 def check_dimension(n) -> None:
@@ -240,11 +242,33 @@ class TridiagForm:
     def quad_form(self, x: np.ndarray) -> float:
         return float(np.dot(x, self.matvec(x)))
 
-    def banded_upper(self) -> np.ndarray:
-        ab = np.zeros((2, self.size))
-        ab[0, 1:] = self.off
-        ab[1, :] = self.diag
-        return ab
+
+def ldlt(diag: np.ndarray, off: np.ndarray) -> tuple[list, list]:
+    """Pivots (D) and multipliers (L) of the symmetric tridiagonal matrix
+    (diag, off) = L D L^T, as float lists.  No pivoting: the negative pivots
+    count the negative eigenvalues (Sylvester).  A zero pivot becomes
+    ZERO_PIVOT, so a shift that grazes an eigenvalue counts it as passed."""
+    d, e = diag.tolist(), off.tolist()
+    piv = d[0] if d[0] != 0.0 else ZERO_PIVOT
+    pivots, multipliers = [piv], []
+    for d_i, e_i in zip(d[1:], e):
+        multipliers.append(e_i / piv)
+        piv = d_i - e_i * e_i / piv
+        if piv == 0.0:
+            piv = ZERO_PIVOT
+        pivots.append(piv)
+    return pivots, multipliers
+
+
+def ldlt_solve(pivots: list, multipliers: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L D L^T x = rhs with the factor returned by `ldlt`."""
+    x = rhs.tolist()
+    for i, m in enumerate(multipliers):
+        x[i + 1] -= m * x[i]
+    x = [x_i / piv for x_i, piv in zip(x, pivots)]
+    for i in range(len(multipliers) - 1, -1, -1):
+        x[i] -= multipliers[i] * x[i + 1]
+    return np.array(x)
 
 
 def _first_cell_rule(grid: RadialGrid, exponent: float):

@@ -15,8 +15,9 @@ ground state is a strict local minimizer in that direction.  B is positive
 definite, so the minimum eigenvalue is found by Sturm-sequence bisection on
 the tridiagonal P1 matrices followed by shifted inverse iteration, which
 stops on a backward error measured against |A||h| and raises
-ConvergenceError when it cannot meet it.  There is no other path; the dense
-solve `dense_min_eig` is a reference for tests only.
+ConvergenceError when it cannot meet it.  Both use the LDL^T sweep of
+A - s B (`mesh.ldlt`), on numpy alone.  The dense solve `dense_min_eig`,
+which loads scipy, is a reference for tests only.
 """
 from __future__ import annotations
 
@@ -28,7 +29,9 @@ import numpy as np
 
 from .errors import ConvergenceError, SolverError
 from .henon import HenonSolution, solve_henon
-from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms
+from .mesh import (ZERO_PIVOT, RadialFunction, RadialGrid, TridiagForm,
+                   assemble_forms, ldlt)
+from .mesh import ldlt_solve as solve_banded  # perfbench counts this name
 from .rootfind import brent_root, sign_change_pairs
 
 __all__ = ["PencilResult", "pencil_forms", "second_variation_forms",
@@ -92,22 +95,10 @@ def second_variation_forms(sol: HenonSolution, ell: int = 1,
 
 
 def _sturm_count(a_form: TridiagForm, b_form: TridiagForm, s: float) -> int:
-    """Number of pencil eigenvalues strictly below the shift s.
-
-    Sylvester inertia of A - s B, read off the pivots of its LDL^T sweep.
-    """
-    d = a_form.diag - s * b_form.diag
-    e = a_form.off - s * b_form.off
-    count = 0
-    piv = d[0]
-    for i in range(d.size):
-        if i:
-            piv = d[i] - e[i - 1] * e[i - 1] / piv
-        if piv == 0.0:
-            piv = -1e-300  # grazing shift: count the eigenvalue as passed
-        if piv < 0.0:
-            count += 1
-    return count
+    """Pencil eigenvalues below s: the negative LDL^T pivots of A - s B."""
+    pivots, _ = ldlt(a_form.diag - s * b_form.diag,
+                     a_form.off - s * b_form.off)
+    return sum(piv < 0.0 for piv in pivots)
 
 
 def _rayleigh(a_form: TridiagForm, b_form: TridiagForm, x: np.ndarray) -> float:
@@ -121,13 +112,15 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
     h[-1] >= 0.  Bisection with Sturm counts brackets sigma to near machine
     width; inverse iteration shifted just below the bracket then recovers
-    the eigenvector.  It stops once the backward error
+    the eigenvector, one solve per step with one LDL^T factor per shift.
+    It stops once the backward error
     ||A h - rho B h|| / || |A||h| + |rho||B||h| || (2-norms, reported as
     `residual`) is at most 4 N eps and a further step no longer halves it.
     A shift that hits an exact zero pivot is stepped down and the matrix
     refactored, as in LAPACK's dstein.
-    Missing the test in 30 steps, or a Rayleigh quotient rho off the
-    bisected sigma by more than 1e-7 relative, raises ConvergenceError.
+    Missing the test in 30 steps (a NaN never meets it), or a Rayleigh
+    quotient rho off the bisected sigma by more than 1e-7 relative, raises
+    ConvergenceError.
     """
     size = a_form.size
     if size != b_form.size:
@@ -165,21 +158,20 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     sigma = 0.5 * (lo + hi)
     width = hi - lo
     shift = lo - max(1e-14 * max(1.0, abs(lo)), width)
-    band = np.zeros((3, size))
     abs_a = TridiagForm(np.abs(a_form.diag), np.abs(a_form.off))
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
     h = np.ones(size) / math.sqrt(b_form.quad_form(np.ones(size)))
-    rho, backward, previous = sigma, np.inf, np.inf
+    rho, backward, previous, pivots = sigma, np.inf, np.inf, None
     for iterations in range(1, 31):
-        band[0, 1:] = a_form.off - shift * b_form.off
-        band[1] = a_form.diag - shift * b_form.diag
-        band[2, :-1] = band[0, 1:]
-        try:
-            y = solve_banded((1, 1), band, b_form.matvec(h))
-        except np.linalg.LinAlgError:
-            shift -= width + 1e-14 * max(1.0, abs(shift))
-            continue
+        if pivots is None:  # factor once per shift
+            pivots, multipliers = ldlt(a_form.diag - shift * b_form.diag,
+                                       a_form.off - shift * b_form.off)
+            if ZERO_PIVOT in pivots:
+                pivots = None
+                shift -= width + 1e-14 * max(1.0, abs(shift))
+                continue
+        y = solve_banded(pivots, multipliers, b_form.matvec(h))
         h = y / math.sqrt(b_form.quad_form(y))
         rho = a_form.quad_form(h)
         # Measure the residual against |A||h| (Oettli-Prager), not ||A h||:
@@ -197,7 +189,8 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
         if backward <= tol and backward >= 0.5 * previous:
             break
         previous = backward
-    if backward > tol or abs(rho - sigma) > 1e-7 * max(1.0, abs(sigma)):
+    near = abs(rho - sigma) <= 1e-7 * max(1.0, abs(sigma))
+    if not (backward <= tol and near):  # NaN fails both tests
         raise ConvergenceError(
             f"inverse iteration ended at backward error {backward:.3g} "
             f"(target {tol:.3g}) and quotient {rho!r} after {iterations} "
@@ -207,12 +200,6 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     diagnostics = {"method": "sturm+inverse", "iterations": iterations,
                    "bisection_width": float(width), "residual": backward}
     return float(rho), h, diagnostics
-
-
-def solve_banded(*args, **kwargs):
-    """scipy.linalg.solve_banded, imported on the first call."""
-    from scipy.linalg import solve_banded as solve
-    return solve(*args, **kwargs)
 
 
 def eigh(*args, **kwargs):

@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
                        profile_evaluators, series_seed)
 from .mesh import (RadialFunction, RadialGrid, TridiagForm, build_grid,
-                   check_dimension)
+                   check_dimension, ldlt, ldlt_solve)
 from .special import bessel_i, bessel_i_prime, surface_measure
 
 __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
@@ -180,10 +180,8 @@ def limit_form_min_numeric(sol: SteklovSolution,
 
     The constrained minimum solves the interior tridiagonal system with the
     boundary column moved to the right-hand side; the matrix is symmetric
-    positive definite, so a banded Cholesky solve suffices.
+    positive definite, so an LDL^T solve without pivoting suffices.
     """
-    from scipy.linalg import solveh_banded
-
     if grid is None:
         grid = sol.grid
     form = limit_form_matrix(sol, grid)
@@ -191,6 +189,6 @@ def limit_form_min_numeric(sol: SteklovSolution,
     rhs = np.zeros(m)
     rhs[-1] = -form.off[m - 1]
     w = np.empty(form.size)
-    w[:m] = solveh_banded(form.banded_upper()[:, :m], rhs)
+    w[:m] = ldlt_solve(*ldlt(form.diag[:m], form.off[:m - 1]), rhs)
     w[m] = 1.0
     return float(form.quad_form(w)), RadialFunction.from_nodes(grid, w)

@@ -187,7 +187,7 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_second_variation_loads_only_scipy_linalg():
+def test_second_variation_loads_no_scipy():
     code = "\n".join([
         "import contextlib, io, json, sys",
         "from henon_lab.cli import main",
@@ -195,17 +195,13 @@ def test_second_variation_loads_only_scipy_linalg():
         "    code = main(['second-variation', '--n', '4', '--p', '2', '--q',",
         "                 '3', '--alpha', '400', '--refine', '6'])",
         "print(json.dumps([code, sorted(m for m in sys.modules",
-        "                                if m.startswith('scipy.'))]))",
+        "                                if m.startswith('scipy'))]))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True,
                           env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
-    assert code == 0
-    assert "scipy.linalg" in modules
-    assert not any(m.startswith(("scipy.integrate", "scipy.optimize"))
-                   for m in modules)
+    assert json.loads(proc.stdout) == [0, []]
 
 
 def test_sweep(tmp_path):

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from henon_lab.mesh import (MAX_REFINEMENT, RadialFunction, TridiagForm,
-                            assemble_forms, build_grid)
+from henon_lab.mesh import (MAX_REFINEMENT, ZERO_PIVOT, RadialFunction,
+                            TridiagForm, assemble_forms, build_grid, ldlt,
+                            ldlt_solve)
 
 
 def test_grid_basic_shape():
@@ -91,9 +92,43 @@ def test_tridiag_form_consistency():
     v = rng.standard_normal(form.size)
     assert np.allclose(form.matvec(v), dense @ v)
     assert np.isclose(form.quad_form(v), v @ dense @ v)
-    upper = form.banded_upper()
-    assert np.allclose(upper[1], np.diag(dense))
-    assert np.allclose(upper[0, 1:], np.diag(dense, 1))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 200])
+def test_ldlt_solve_matches_dense_solve(size):
+    # Diagonally dominant, so symmetric positive definite.
+    rng = np.random.default_rng(size)
+    form = TridiagForm(rng.uniform(2.0, 3.0, size),
+                       rng.uniform(-1.0, 1.0, size - 1))
+    rhs = rng.standard_normal(size)
+    got = ldlt_solve(*ldlt(form.diag, form.off), rhs)
+    want = np.linalg.solve(form.to_dense(), rhs)
+    assert got.shape == (size,)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def _negative_pivots(diag, off, shift):
+    pivots, _ = ldlt(diag - shift, off)
+    return sum(piv < 0.0 for piv in pivots)
+
+
+def test_ldlt_negative_pivots_count_eigenvalues_below_shift():
+    rng = np.random.default_rng(3)
+    diag, off = rng.standard_normal(60), rng.standard_normal(59)
+    eigs = np.linalg.eigvalsh(TridiagForm(diag, off).to_dense())
+    between = 0.5 * (eigs[:-1] + eigs[1:])
+    shifts = [eigs[0] - 1.0, eigs[-1] + 1.0, *between[::7]]
+    for shift in shifts:
+        assert _negative_pivots(diag, off, shift) == np.sum(eigs < shift)
+
+    # The 1D Laplacian shifted by 2 has an exactly zero first pivot; at even
+    # size 2 is no eigenvalue, and half the spectrum lies below it.
+    size = 40
+    diag, off = np.full(size, 2.0), np.full(size - 1, -1.0)
+    pivots, _ = ldlt(diag - 2.0, off)
+    assert pivots[0] == ZERO_PIVOT
+    eigs = np.linalg.eigvalsh(TridiagForm(diag, off).to_dense())
+    assert _negative_pivots(diag, off, 2.0) == np.sum(eigs < 2.0) == size // 2
 
 
 def test_assembled_mass_integrates_monomials():

@@ -69,6 +69,37 @@ def test_limit_pencil_is_positive(steklov):
     assert h[-1] >= 0.0
 
 
+def _sturm_count_loop(a_form, b_form, s):
+    """The pivot recurrence over numpy scalars, as Sturm counts were taken
+    before the LDL^T sweep was shared with the solves."""
+    d = a_form.diag - s * b_form.diag
+    e = a_form.off - s * b_form.off
+    count = 0
+    piv = d[0]
+    for i in range(d.size):
+        if i:
+            piv = d[i] - e[i - 1] * e[i - 1] / piv
+        if piv == 0.0:
+            piv = -1e-300
+        if piv < 0.0:
+            count += 1
+    return count
+
+
+def test_sturm_count_matches_the_scalar_loop(ground_state):
+    # Same arithmetic on plain floats, so the same counts, including at
+    # shifts within rounding of sigma where the last pivot is noise.
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    forms = second_variation_forms(sol, grid=build_grid(4, refinement=9,
+                                                        alpha_hint=400.0))
+    sigma, _, _ = pencil_min_eig(*forms)
+    shifts = [sigma * (1.0 + k * 1e-14) for k in range(-40, 41)]
+    shifts += [sigma * k for k in (-3.0, 0.0, 0.5, 1.5, 2.0)]
+    counts = [second_variation._sturm_count(*forms, s) for s in shifts]
+    assert counts == [_sturm_count_loop(*forms, s) for s in shifts]
+    assert 0 in counts and max(counts) > 1
+
+
 def test_coarse_pencil_matches_dense(ground_state):
     sol = ground_state(4, 2.0, 3.0, 50.0)
     grid = build_grid(4, refinement=4)
@@ -111,23 +142,39 @@ def test_single_path_without_dense_solve(ground_state, monkeypatch):
     assert elapsed < 2.0
 
 
-def test_singular_shift_steps_off_the_zero_pivot(ground_state, monkeypatch):
-    # The first shifted factorization of this pencil is exactly singular;
-    # the shift steps down and the iteration carries on.
-    sol = ground_state(3, 2.0, 2.1111932638798687, 20.665832096064587)
-    solve = second_variation.solve_banded
-    singular = []
+def _zero_pivot_in_inverse_iteration(monkeypatch, times):
+    """Give the first `times` factorizations that inverse iteration asks for
+    an exactly zero first pivot; the Sturm counts factor unchanged."""
+    factor, count = second_variation.ldlt, second_variation._sturm_count
+    state = {"counting": False, "left": times}
 
-    def spy(*args, **kwargs):
+    def counting(*args):
+        state["counting"] = True
         try:
-            return solve(*args, **kwargs)
-        except np.linalg.LinAlgError:
-            singular.append(True)
-            raise
+            return count(*args)
+        finally:
+            state["counting"] = False
 
-    monkeypatch.setattr(second_variation, "solve_banded", spy)
+    def singular(diag, off):
+        if not state["counting"] and state["left"]:
+            state["left"] -= 1
+            diag = diag.copy()
+            diag[0] = 0.0
+        return factor(diag, off)
+
+    monkeypatch.setattr(second_variation, "_sturm_count", counting)
+    monkeypatch.setattr(second_variation, "ldlt", singular)
+    return state
+
+
+def test_singular_shift_steps_off_the_zero_pivot(ground_state, monkeypatch):
+    # At this pencil's shift the LDL^T pivots come within 4.5e-13 of zero
+    # but never reach it, so the first shifted factorization is made
+    # exactly singular; the shift steps down and the iteration carries on.
+    sol = ground_state(3, 2.0, 2.1111932638798687, 20.665832096064587)
+    state = _zero_pivot_in_inverse_iteration(monkeypatch, 1)
     result = min_second_variation(sol)
-    assert singular
+    assert state["left"] == 0
     diag = result.diagnostics
     assert diag["method"] == "sturm+inverse"
     assert np.isfinite(diag["residual"])
@@ -157,11 +204,7 @@ def test_iteration_settles_past_the_backward_error_test(ground_state):
 def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
     sol = ground_state(4, 2.0, 3.0, 400.0)
     forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(second_variation, "solve_banded", singular)
+    _zero_pivot_in_inverse_iteration(monkeypatch, float("inf"))
     with pytest.raises(ConvergenceError, match="backward error"):
         pencil_min_eig(*forms)
 
@@ -174,6 +217,20 @@ def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
     record, end = json.JSONDecoder().raw_decode(out.getvalue())
     assert not out.getvalue()[end:].strip()
     assert record["error"]["type"] == "ConvergenceError"
+
+
+def test_non_finite_iterate_is_a_solver_error(ground_state, monkeypatch):
+    # NaN fails every comparison, so the exit test must ask that the
+    # backward error be met, not merely that it not be missed.
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
+
+    def not_finite(pivots, multipliers, rhs):
+        return np.full(rhs.size, np.nan)
+
+    monkeypatch.setattr(second_variation, "solve_banded", not_finite)
+    with pytest.raises(ConvergenceError, match="backward error"):
+        pencil_min_eig(*forms)
 
 
 def test_min_second_variation_packaging(ground_state):

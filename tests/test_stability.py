@@ -173,6 +173,25 @@ def test_g_tilde_values():
     assert np.all(np.diff(vals) > 0.0)
 
 
+def test_g_tilde_matches_mpmath():
+    # The 20 table points, and two points on the small-t series branch.
+    # The oracle gives G-tilde(0.5) = 2.2798551, against the 2.2796 that
+    # acceptance criterion 3 prints as its reference.
+    import mpmath
+
+    def oracle(t):
+        with mpmath.workdps(40):
+            t = mpmath.mpf(t)
+            g = 2 / mpmath.e * (mpmath.exp(-2 * t) * (t + 1) + t - 1) / t
+            cap = t * (1 - g)
+            return float(mpmath.exp(cap) + cap * (t + 1))
+
+    for t in [0.05 * k for k in range(1, 21)] + [1e-8, 9.99e-4]:
+        want = oracle(t)
+        assert abs(g_tilde(t) - want) <= 1e-14 * want, t
+    assert abs(oracle(0.5) - 2.2798551) <= 1e-7
+
+
 def test_appendix_table_structure():
     rows = appendix_table()
     assert len(rows) == 20

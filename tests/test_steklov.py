@@ -25,6 +25,18 @@ def test_p2_matches_bessel_closed_form():
         assert abs(lam - want) <= 1e-9 * want, n
 
 
+def test_bessel_lambda2_matches_mpmath():
+    import mpmath
+
+    for n in range(3, 11):
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(n) / 2 - 1
+            want = float(1 - mpmath.mpf(n) / 2
+                         + mpmath.besseli(nu, 1, derivative=1)
+                         / mpmath.besseli(nu, 1))
+        assert abs(bessel_lambda2(n) - want) <= 1e-12, n
+
+
 def test_eigenvalue_window_and_monotonicity():
     lams = []
     for n in (3, 4, 5, 6):
