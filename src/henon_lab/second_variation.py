@@ -12,12 +12,16 @@ perturbations h(r) Y_ell reduces to the quadratic pencil A - sigma B with
 
 sigma = min eig(A, B) decides stability of the mode: positive means the
 ground state is a strict local minimizer in that direction.  B is positive
-definite, so the minimum eigenvalue is found by Sturm-sequence bisection on
-the tridiagonal P1 matrices followed by shifted inverse iteration, which
-stops on a backward error measured against |A||h| and raises
-ConvergenceError when it cannot meet it.  Both use the LDL^T sweep of
-A - s B (`mesh.ldlt`), on numpy alone.  The dense solve `dense_min_eig`,
-which loads scipy, is a reference for tests only.
+definite, so the minimum eigenvalue of the tridiagonal P1 matrices is found
+in three steps (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4 and 7):
+a coarse Sturm-sequence bracket, only narrow enough that inverse iteration
+shifted below it converges at rate 1/16; shifted inverse iteration, which
+stops on a backward error measured against |A||h|; and two Sturm counts
+at rho -+ 1e-7 max(1, |rho|) that certify the Rayleigh quotient rho as the
+smallest eigenvalue.  A missed backward error or a failed certificate
+raises ConvergenceError.  Every step uses the LDL^T sweep of A - s B
+(`mesh.ldlt`), on numpy alone.  The dense solve `dense_min_eig`, which
+loads scipy, is a reference for tests only.
 """
 from __future__ import annotations
 
@@ -110,21 +114,30 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     """Smallest eigenpair of (A, B), B positive definite.
 
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
-    h[-1] >= 0.  Bisection with Sturm counts brackets sigma to near machine
-    width; inverse iteration shifted just below the bracket then recovers
-    the eigenvector, one solve per step with one LDL^T factor per shift.
-    It stops once the backward error
+    h[-1] >= 0.  Bisection with Sturm counts brackets sigma only until
+    inverse iteration shifted just below the bracket must converge at rate
+    1/16 or better: every count of exactly 1 at x proves sigma_2 > x.
+    Inverse iteration then gets the digits, one solve per step with one
+    LDL^T factor per shift.  It stops once the backward error
     ||A h - rho B h|| / || |A||h| + |rho||B||h| || (2-norms, reported as
     `residual`) is at most 4 N eps and a further step no longer halves it.
     A shift that hits an exact zero pivot is stepped down and the matrix
-    refactored, as in LAPACK's dstein.
-    Missing the test in 30 steps (a NaN never meets it), or a Rayleigh
-    quotient rho off the bisected sigma by more than 1e-7 relative, raises
-    ConvergenceError.
+    refactored, as in LAPACK's dstein.  Two Sturm counts certify the
+    Rayleigh quotient rho: none below rho - delta and at least one below
+    rho + delta, delta = 1e-7 max(1, |rho|), prove |sigma - rho| <= delta.
+    Missing the backward-error test in 30 steps (a NaN never meets it), or
+    failing the certificate, raises ConvergenceError.
     """
     size = a_form.size
     if size != b_form.size:
         raise ValueError("pencil forms have mismatched sizes")
+    sturm_counts = 0
+
+    def count(s: float) -> int:
+        nonlocal sturm_counts
+        sturm_counts += 1
+        return _sturm_count(a_form, b_form, s)
+
     nodes_probe = np.linspace(0.0, 1.0, size)
     probes = [np.ones(size), nodes_probe, 1.0 - nodes_probe]
     hi = min(_rayleigh(a_form, b_form, x) for x in probes)
@@ -133,36 +146,43 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     # probe is not an eigenvector; pad upward until the count confirms it.
     pad = 1e-12 * scale
     attempts = 0
-    while _sturm_count(a_form, b_form, hi) < 1:
+    while (found := count(hi)) < 1:
         hi += pad
         pad *= 2.0
         attempts += 1
         if attempts > 120:
             raise ConvergenceError("failed to bracket the smallest eigenvalue")
+    # A count of exactly 1 at x proves sigma_2 > x; keep the largest such x.
+    above_second = hi if found == 1 else -math.inf
     lo, step = hi - scale, scale
-    while _sturm_count(a_form, b_form, lo) > 0:
+    while count(lo) > 0:
         step *= 2.0
         lo -= step
         if step > 1e18 * scale:
             raise ConvergenceError("smallest eigenvalue escaped the search")
+    # Stop once (sigma - shift) / (sigma_2 - shift) <= 1/16 is proved for
+    # the shift lo - width, or at machine width for a cluster.
     for _ in range(200):
         width = hi - lo
-        if width <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+        if (32.0 * width <= above_second - lo + width
+                or width <= 1e-14 * max(1.0, abs(lo), abs(hi))):
             break
         mid = 0.5 * (lo + hi)
-        if _sturm_count(a_form, b_form, mid) >= 1:
+        found = count(mid)
+        if found >= 1:
             hi = mid
+            if found == 1:
+                above_second = max(above_second, mid)
         else:
             lo = mid
 
-    sigma = 0.5 * (lo + hi)
     width = hi - lo
     shift = lo - max(1e-14 * max(1.0, abs(lo)), width)
     abs_a = TridiagForm(np.abs(a_form.diag), np.abs(a_form.off))
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
     h = np.ones(size) / math.sqrt(b_form.quad_form(np.ones(size)))
-    rho, backward, previous, pivots = sigma, np.inf, np.inf, None
+    rho, backward, previous, pivots = math.nan, np.inf, np.inf, None
     for iterations in range(1, 31):
         if pivots is None:  # factor once per shift
             pivots, multipliers = ldlt(a_form.diag - shift * b_form.diag,
@@ -181,7 +201,9 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
         resid = a_form.matvec(h) - rho * b_form.matvec(h)
         abs_h = np.abs(h)
         magnitude = abs_a.matvec(abs_h) + abs(rho) * abs_b.matvec(abs_h)
-        backward = float(np.linalg.norm(resid) / np.linalg.norm(magnitude))
+        # (A h = 0 with rho = 0 is exact: the floor makes it 0, not 0/0.)
+        backward = float(np.linalg.norm(resid) / max(
+            np.linalg.norm(magnitude), np.finfo(float).tiny))
         # Meeting the test does not mean the iterate has settled: at
         # (5, 2.998, 3.19, 380), ell = 1, N = 2561, the step that met it
         # left a normwise residual of 1.2e-8 and the next one 3e-13.  So,
@@ -189,16 +211,24 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
         if backward <= tol and backward >= 0.5 * previous:
             break
         previous = backward
-    near = abs(rho - sigma) <= 1e-7 * max(1.0, abs(sigma))
-    if not (backward <= tol and near):  # NaN fails both tests
+    if not backward <= tol:  # NaN fails the test
         raise ConvergenceError(
             f"inverse iteration ended at backward error {backward:.3g} "
             f"(target {tol:.3g}) and quotient {rho!r} after {iterations} "
-            f"steps; bisection gave sigma {sigma!r}")
+            f"steps")
+    delta = 1e-7 * max(1.0, abs(rho))
+    below, upto = count(rho - delta), count(rho + delta)
+    if below != 0 or upto < 1:
+        raise ConvergenceError(
+            f"inverse iteration met backward error {backward:.3g} at "
+            f"quotient {rho!r}, but Sturm counts put {below} eigenvalues "
+            f"below rho - {delta:.3g} and {upto} below rho + {delta:.3g}, "
+            f"so rho is not the smallest")
     if h[-1] < 0.0:
         h = -h
     diagnostics = {"method": "sturm+inverse", "iterations": iterations,
-                   "bisection_width": float(width), "residual": backward}
+                   "bisection_width": float(width), "residual": backward,
+                   "sturm_counts": sturm_counts}
     return float(rho), h, diagnostics
 
 

@@ -168,9 +168,10 @@ def _zero_pivot_in_inverse_iteration(monkeypatch, times):
 
 
 def test_singular_shift_steps_off_the_zero_pivot(ground_state, monkeypatch):
-    # At this pencil's shift the LDL^T pivots come within 4.5e-13 of zero
-    # but never reach it, so the first shifted factorization is made
-    # exactly singular; the shift steps down and the iteration carries on.
+    # At this pencil's shift, one bracket width below sigma, no LDL^T pivot
+    # comes within 6e-6 of zero, so the first shifted factorization is
+    # made exactly singular by hand; the shift steps down and the
+    # iteration carries on.
     sol = ground_state(3, 2.0, 2.1111932638798687, 20.665832096064587)
     state = _zero_pivot_in_inverse_iteration(monkeypatch, 1)
     result = min_second_variation(sol)
@@ -201,13 +202,9 @@ def test_iteration_settles_past_the_backward_error_test(ground_state):
         grid.num_nodes)
 
 
-def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
-    sol = ground_state(4, 2.0, 3.0, 400.0)
-    forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
-    _zero_pivot_in_inverse_iteration(monkeypatch, float("inf"))
-    with pytest.raises(ConvergenceError, match="backward error"):
-        pencil_min_eig(*forms)
-
+def _cli_solver_error():
+    """The error of `second-variation` at (4, 2, 3, 400), refinement 6,
+    which must exit 1 with exactly one JSON record."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -217,6 +214,62 @@ def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
     record, end = json.JSONDecoder().raw_decode(out.getvalue())
     assert not out.getvalue()[end:].strip()
     assert record["error"]["type"] == "ConvergenceError"
+    return record["error"]
+
+
+def test_failed_factorization_is_a_solver_error(ground_state, monkeypatch):
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
+    _zero_pivot_in_inverse_iteration(monkeypatch, float("inf"))
+    with pytest.raises(ConvergenceError, match="backward error"):
+        pencil_min_eig(*forms)
+
+    _cli_solver_error()
+
+
+def _steer_to_second_eigenpair(monkeypatch):
+    """Make every inverse-iteration solve return its B-projection on the
+    second eigenvector of the pencil last assembled: an iteration locked
+    onto the second eigenpair, which meets the backward-error test there.
+    (Projecting out the ground eigenvector alone is not enough here: the
+    iteration then creeps between sigma_2 and sigma_3, which lie within
+    3e-4 of each other, and misses the test in 30 steps.)"""
+    solve, assemble = second_variation.solve_banded, \
+        second_variation.second_variation_forms
+    state = {}
+
+    def aim(a_form, b_form):
+        _, vecs = second_variation.eigh(a_form.to_dense(), b_form.to_dense(),
+                                        subset_by_index=[1, 1])
+        state["second"], state["b_form"] = vecs[:, 0], b_form
+
+    def assembling(*args, **kwargs):
+        forms = assemble(*args, **kwargs)
+        aim(*forms)
+        return forms
+
+    def locked(pivots, multipliers, rhs):
+        y = solve(pivots, multipliers, rhs)
+        second = state["second"]
+        return second * float(second @ state["b_form"].matvec(y))
+
+    monkeypatch.setattr(second_variation, "second_variation_forms",
+                        assembling)
+    monkeypatch.setattr(second_variation, "solve_banded", locked)
+    return aim
+
+
+def test_certificate_refuses_the_second_eigenvalue(ground_state,
+                                                   monkeypatch):
+    sol = ground_state(4, 2.0, 3.0, 400.0)
+    forms = second_variation_forms(sol, grid=build_grid(4, refinement=6))
+    aim = _steer_to_second_eigenpair(monkeypatch)
+    aim(*forms)
+    with pytest.raises(ConvergenceError,
+                       match="Sturm counts put 1 eigenvalues below"):
+        pencil_min_eig(*forms)
+
+    assert "Sturm counts" in _cli_solver_error()["message"]
 
 
 def test_non_finite_iterate_is_a_solver_error(ground_state, monkeypatch):
@@ -239,6 +292,9 @@ def test_min_second_variation_packaging(ground_state):
     assert result.lambda_reg == 0.0
     assert result.ell == 1 and result.angular == 3.0
     assert result.diagnostics["method"] == "sturm+inverse"
+    # The bracket stops once the rate to sigma_2 is proved, not at machine
+    # width: 12 counts here where bisection to 1e-14 took 49.
+    assert result.diagnostics["sturm_counts"] == 12 <= 20
     assert result.h.boundary_value > 0.0
     assert eigenprofile_steepness(result) > 0.0
 
