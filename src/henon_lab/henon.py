@@ -240,8 +240,10 @@ def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
     rq = grid.quad_x
     wq = np.maximum(value_fn(rq), 0.0)
     dwq = grad_fn(rq)
-    num_int = grid.integrate((np.abs(dwq) ** p + wq ** p) * rq ** (n - 1))
-    den_int = grid.integrate(rq ** (alpha + n - 1) * wq ** q)
+    # An overflowing profile is caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num_int = grid.integrate((np.abs(dwq) ** p + wq ** p) * rq ** (n - 1))
+        den_int = grid.integrate(rq ** (alpha + n - 1) * wq ** q)
     norm_w = (meas * num_int) ** (1.0 / p)
     mu = norm_w ** (p * (q - p) / q)
     # Same number through the quotient; agreement checks quadrature and the

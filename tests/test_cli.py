@@ -187,13 +187,13 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_second_variation_loads_no_scipy():
+def _scipy_modules_after(argv):
+    """Exit code and the scipy modules loaded by a cold `cli.main(argv)`."""
     code = "\n".join([
         "import contextlib, io, json, sys",
         "from henon_lab.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = main(['second-variation', '--n', '4', '--p', '2', '--q',",
-        "                 '3', '--alpha', '400', '--refine', '6'])",
+        f"    code = main({argv!r})",
         "print(json.dumps([code, sorted(m for m in sys.modules",
         "                                if m.startswith('scipy'))]))",
     ])
@@ -201,7 +201,18 @@ def test_second_variation_loads_no_scipy():
                           text=True,
                           env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, []]
+    return json.loads(proc.stdout)
+
+
+def test_second_variation_loads_no_scipy():
+    assert _scipy_modules_after(["second-variation", "--n", "4", "--p", "2",
+                                 "--q", "3", "--alpha", "400",
+                                 "--refine", "6"]) == [0, []]
+
+
+def test_radial_oracle_loads_no_scipy():
+    assert _scipy_modules_after(["radial", "--n", "5", "--p", "2.5", "--q",
+                                 "4", "--alpha", "25", "--oracle"]) == [0, []]
 
 
 def test_sweep(tmp_path):

@@ -1,9 +1,12 @@
 """Ground-state shooting: parameter window, identities, and asymptotics."""
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cli_child import run_cli
 from henon_lab.errors import BracketError, ConvergenceError, IntegrationError
 from henon_lab.henon import (_initial_center, admissible_q_upper,
                              critical_exponent, derivative_asymptotics,
@@ -197,9 +200,22 @@ def test_several_roots_beyond_one_root_span():
 def test_non_finite_quotient_is_a_convergence_error():
     # The root lands near d0 = 1e84, where w^q overflows the quadrature;
     # mu = inf must not be returned as a result.
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ConvergenceError, match="not finite"):
+    with pytest.raises(ConvergenceError, match="not finite"):
         solve_henon(5, 3.877, 3.897, 295.3)
+
+
+def test_overflowing_quadrature_raises_without_warnings():
+    # The quadrature of this profile overflows; the finiteness check must
+    # raise, with no numpy RuntimeWarning in process or on the CLI's stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_henon(3, 2.0, 2.01, 400.0)
+    proc = run_cli("radial", "--n", "3", "--p", "2", "--q", "2.01",
+                   "--alpha", "400")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ConvergenceError"
+    assert "Warning" not in proc.stderr
 
 
 def test_endpoint_exponents(ground_state):

@@ -1,9 +1,8 @@
-"""Import hygiene: scipy is loaded only inside the functions that use it.
+"""Import hygiene: scipy is loaded only inside the function that uses it.
 
-`import henon_lab` and every solver path but two run on numpy alone.  The
-exceptions import scipy inside a function body, on first use:
-`variational.minimize` (L-BFGS for the `radial --oracle` cross-check) and
-`second_variation.eigh` (the dense reference solve of the tests).
+`import henon_lab` and every subcommand run on numpy alone.  The one
+exception imports scipy inside a function body, on first use:
+`second_variation.eigh`, the dense reference solve of the tests.
 """
 import ast
 from pathlib import Path
@@ -12,7 +11,7 @@ import henon_lab
 
 PACKAGE = Path(henon_lab.__file__).resolve().parent
 
-ALLOWED = {("variational.py", "minimize"), ("second_variation.py", "eigh")}
+ALLOWED = {("second_variation.py", "eigh")}
 
 
 def _scipy_imports(tree):
