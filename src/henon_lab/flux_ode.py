@@ -5,6 +5,9 @@ integrated as a first-order system in (u, F) with F = r^(n-1) |u'|^(p-2) u'.
 The gradient is recovered as u' = sign(F) (|F|/r^(n-1))^(1/(p-1)), which
 stays well-defined where u' vanishes and p > 2, unlike inverting |u'|^(p-2).
 
+The caller gives the source s(r, u) of F' = r^(n-1) s(r, u); the power
+r^(n-1) is computed once per stage and serves both u' and F'.
+
 The stepper is the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
 local extrapolation and Shampine's quartic continuous extension (Shampine
 1986), on plain floats.  Step control follows Hairer, Norsett & Wanner,
@@ -12,7 +15,11 @@ local extrapolation and Shampine's quartic continuous extension (Shampine
 RMS error over atol + rtol max(|y|, |y_new|), a 0.9 safety factor, step
 factors in [0.2, 10] and no growth right after a rejection.  These are
 scipy's RK45 rules, so the two accept and reject the same steps; their
-states differ by rounding.
+states differ by rounding.  Every run keeps its step lengths and stage
+derivatives as plain lists; the quartic coefficients of the dense output
+are built from them on a trajectory's first evaluation, so a run whose
+interior is never queried (a shooting trial judged by its end state alone)
+never pays for them.
 """
 from __future__ import annotations
 
@@ -86,8 +93,12 @@ class FluxTrajectory:
     values: np.ndarray
     fluxes: np.ndarray
     status: str  # 'completed' | 'capped' | 'hit_zero'
-    # Full length and quartic coefficients (2, 4, steps) of each step.
-    _steps: np.ndarray | None = field(default=None, repr=False)
+    # Full length and the 14 stage derivatives (7 of u, then 7 of F) of
+    # each step, as the stepper recorded them.  The first evaluation turns
+    # them into arrays of step lengths and quartic coefficients
+    # (2, 4, steps), and lets the stage derivatives go.
+    _steps: list | np.ndarray = field(default_factory=list, repr=False)
+    _stages: list | None = field(default_factory=list, repr=False)
     _coef: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -98,7 +109,10 @@ class FluxTrajectory:
     def _states(self, r):
         """(u, F) at radii r from the step holding each radius."""
         if self._coef is None:
-            raise ValueError("trajectory was integrated without dense output")
+            self._steps = np.array(self._steps)
+            self._coef = np.moveaxis(
+                np.reshape(self._stages, (-1, 2, 7)) @ _P, 0, -1)
+            self._stages = None
         r = np.clip(np.asarray(r, dtype=float), self.rs[0], self.rs[-1])
         # A radius on a step boundary takes the earlier step.
         i = np.clip(np.searchsorted(self.rs, r) - 1, 0, self._steps.size - 1)
@@ -162,8 +176,8 @@ class OdeSteps:
     y: np.ndarray      # (2, t.size) states (u, F) at t
     nfev: int          # right-hand side calls, six per attempted step + 2
     status: str        # 'completed' | 'capped' | 'hit_zero'
-    steps: np.ndarray | None  # full step lengths, with dense output only
-    coef: np.ndarray | None   # (2, 4, steps) quartic coefficients
+    steps: list        # full step lengths
+    stages: list       # the 14 stage derivatives of each step
 
 
 def _rms(a: float, b: float) -> float:
@@ -180,8 +194,7 @@ def _event_radius(g, a: float, b: float) -> float:
 
 def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
               tol: float, value_cap: float | None = None,
-              stop_on_nonpositive: bool = False,
-              dense: bool = True) -> OdeSteps:
+              stop_on_nonpositive: bool = False) -> OdeSteps:
     """Dormand-Prince 5(4) for (u, F)' = fun(r, u, F) on [r0, r_end].
 
     atol = rtol = tol.  A step whose stages overflow, or whose error or new
@@ -312,35 +325,29 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
         rs.append(r_new)
         us.append(u_new)
         fs.append(f_new)
-        if dense:
-            hs.append(h)
-            ks.append(stages)
+        hs.append(h)
+        ks.append(stages)
         if status != "completed":
             break
         r, u, f, k0u, k0f = r_new, u_new, f_new, k6u, k6f
 
-    steps = coef = None
-    if dense:
-        steps = np.array(hs)
-        coef = np.moveaxis(np.reshape(ks, (-1, 2, 7)) @ _P, 0, -1)
     return OdeSteps(t=np.array(rs), y=np.array([us, fs]),
-                    nfev=2 + 6 * attempts, status=status, steps=steps,
-                    coef=coef)
+                    nfev=2 + 6 * attempts, status=status, steps=hs,
+                    stages=ks)
 
 
-def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
+def integrate_flux_ode(source: Callable[[float, float], float],
                        seed: FluxState, r_end: float = 1.0, *,
                        p: float, n: int, tol: float = 1e-10,
                        value_cap: float | None = None,
-                       stop_on_nonpositive: bool = False,
-                       dense: bool = True) -> FluxTrajectory:
+                       stop_on_nonpositive: bool = False) -> FluxTrajectory:
     """Integrate (u, F) from the seed radius to r_end.
 
     Parameters
     ----------
-    rhs_flux : callable
-        F'(r) = rhs_flux(r, u).  A NaN or complex result ends the run as
-        an IntegrationError.
+    source : callable
+        s(r, u), with F'(r) = r^(n-1) s(r, u).  A NaN or complex F' ends
+        the run as an IntegrationError.
     value_cap : float, optional
         Terminate (status 'capped') once |u| exceeds this blow-up threshold.
     stop_on_nonpositive : bool
@@ -361,21 +368,22 @@ def integrate_flux_ode(rhs_flux: Callable[[float, float], float],
     nm1 = n - 1
 
     def rhs(r, u, flux):
-        df = rhs_flux(r, u)
+        rn = r ** nm1
+        df = rn * source(r, u)
         # On plain floats a negative base to a fractional power is complex
         # where numpy gave NaN; both mean the right-hand side is undefined.
-        if isinstance(df, complex) or math.isnan(df):
+        if df != df or type(df) is complex:
             raise IntegrationError(
                 f"flux right-hand side returned {df!r} at r={r:.6g}",
                 last_radius=r)
-        return math.copysign((abs(flux) / r ** nm1) ** inv_exp, flux), df
+        return math.copysign((abs(flux) / rn) ** inv_exp, flux), df
 
     sol = solve_ivp(rhs, float(seed.radius), float(r_end), float(seed.value),
                     float(seed.flux), tol=tol, value_cap=value_cap,
-                    stop_on_nonpositive=stop_on_nonpositive, dense=dense)
+                    stop_on_nonpositive=stop_on_nonpositive)
     return FluxTrajectory(p=p, n=n, rs=sol.t, values=sol.y[0],
                           fluxes=sol.y[1], status=sol.status,
-                          _steps=sol.steps, _coef=sol.coef)
+                          _steps=sol.steps, _stages=sol.stages)
 
 
 def profile_evaluators(traj: FluxTrajectory, u0: float, flux_coeff: float):

@@ -24,7 +24,10 @@ large-alpha prediction c: one trial at c, one at 2c or c/2 as the
 residual's sign points, then 4x wider per expansion.  Elsewhere (alpha < 5,
 or large q - p) it can change sign three or five times, so sixteen trials
 scan [c/10, 10c], every sign change is solved, and the root of least mu is
-the ground state.
+the ground state.  Trials far from the root run at a relaxed tolerance,
+trials near it at the full one, and the full-tolerance trial at Brent's
+root is kept as the profile: no trial is integrated twice at full
+tolerance.
 """
 from __future__ import annotations
 
@@ -55,6 +58,12 @@ _CAP_FACTOR = 1e6
 # Brent accepts an origin value once |F(1)| <= _FLUX_TOL (a+b)^(p-1) on the
 # bracket [a, b]: the flux of the trial scales like d^(p-1).
 _FLUX_TOL = 1e-9
+# Trials away from the root run at max(tol, _RELAXED_TOL).  On the
+# centre-out path such a residual F is used only where
+# |F| > _RELAXED_FLOOR (2d)^(p-1): within one_root_span the relaxed error
+# stayed below 1.1e-6 of that flux scale wherever |F| < 1e-2 of it.
+_RELAXED_TOL = 1e-8
+_RELAXED_FLOOR = 1e-4
 _SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
 _PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -119,31 +128,31 @@ def _flux_coeff(n: int, p: float, q: float, alpha: float, d: float) -> float:
             - d ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
 
 
-def _rhs_factory(n: int, p: float, q: float, alpha: float):
-    nm1, pm1, qm1 = n - 1, p - 1.0, q - 1.0
+def _source_factory(p: float, q: float, alpha: float):
+    pm1, qm1 = p - 1.0, q - 1.0
 
-    def rhs(r, w):
+    def source(r, w):
         # Trial steps may poke below zero; fractional powers need w >= 0.
         w = w if w > 0.0 else 0.0
-        return r ** nm1 * (w ** pm1 - r ** alpha * w ** qm1)
+        return w ** pm1 - r ** alpha * w ** qm1
 
-    return rhs
+    return source
 
 
-def _trial(n, p, q, alpha, d, tol, dense=False):
+def _trial(n, p, q, alpha, d, tol):
     # d^(q-1) can overflow far above the root; the seed then comes out
     # non-finite and the integrator raises IntegrationError on it.
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _flux_coeff(n, p, q, alpha, np.float64(d))
     seed = series_seed(p, n, d, SEED_RADIUS, coeff)
-    return integrate_flux_ode(_rhs_factory(n, p, q, alpha), seed, 1.0,
+    return integrate_flux_ode(_source_factory(p, q, alpha), seed, 1.0,
                               p=p, n=n, tol=tol,
                               value_cap=_CAP_FACTOR * max(1.0, d),
-                              stop_on_nonpositive=True, dense=dense)
+                              stop_on_nonpositive=True)
 
 
 def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
-                  tol: float = 1e-10) -> float:
+                  tol: float = 1e-10, keep: dict | None = None) -> float:
     """Boundary flux F(1) = |w'(1)|^(p-2) w'(1) of the trial from d.
 
     A trial that dies at r* < 1 takes the slope surrogate
@@ -151,8 +160,11 @@ def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
     blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1), which
     meets F(1) continuously as r* -> 1.  The residual falls through zero
     once, and unlike w'(1) it has a finite slope in d there when p > 2.
+    A dict passed as `keep` receives the trial's trajectory under d.
     """
     traj = _trial(n, p, q, alpha, d, tol)
+    if keep is not None:
+        keep[d] = traj
     end = traj.end
     if traj.status == "completed":
         return end.flux
@@ -169,7 +181,7 @@ def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
     close to ||w|| phi_p, so d ~ mu^(q/(p(q-p))) phi_p(0).  The prediction
     only seeds a bracket; moderate alpha is handled by the outward expansion.
     """
-    end = _steklov_shot(n, p, 1e-8, dense=False).end
+    end = _steklov_shot(n, p, 1e-8).end
     lam = _boundary_quotient(end, n, p, 1e-8)
     meas = surface_measure(n)
     mu_pred = meas ** (1.0 - p / q) * (alpha + n) ** (p / q) * lam
@@ -271,19 +283,24 @@ def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
                          grid=grid, diagnostics=diagnostics)
 
 
-def _root_profile(n, p, q, alpha, grid, tol, miss, bracket, expansions):
-    """Brent on one bracket, then the full-tolerance profile at its root."""
+def _root_profile(n, p, q, alpha, grid, miss, full_miss, kept, bracket,
+                  expansions):
+    """Brent on one bracket; the full-tolerance trial at its root is the
+    profile.  `kept` maps the origin value of the last full-tolerance trial
+    to its trajectory, and `full_miss` runs one."""
     a, b, fa, fb = bracket
     # The quotient is stationary at the root, so mu is quadratically
     # insensitive to the leftover error in d.  The stop is judged against
     # the flux scale d^(p-1), since a wide bracket makes the endpoint
     # residuals arbitrarily large; but where close roots flatten the
     # residual, 1e-6 of the endpoint residuals is the tighter test.
-    d0 = brent_root(lambda d: miss(d, tol), a, b,
+    d0 = brent_root(miss, a, b,
                     f_tol=min(_FLUX_TOL * (a + b) ** (p - 1.0),
                               1e-6 * max(abs(fa), abs(fb))),
                     x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
-    final = _trial(n, p, q, alpha, d0, tol, dense=True)
+    if d0 not in kept:  # a bracket end, a relaxed trial or an earlier point
+        full_miss(d0)
+    final = kept[d0]
     if final.status != "completed":
         raise ConvergenceError(
             f"profile at the fitted origin value {d0:.8g} terminated "
@@ -308,12 +325,18 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
 
     Within `one_root_span` the bracket starts from the pair (d_lo, d_hi),
     each defaulting to the large-alpha prediction c, and steps outward
-    until the residual changes sign.  Beyond it, sixteen trials scan
-    [d_lo, d_hi] (defaults c/10 and 10c) geometrically, each sign change is
-    solved, and the root of least mu is returned; "competing_roots" lists
-    them all when there are several.  Bracketing trials run at a relaxed
-    tolerance; only final profiles are integrated at full tolerance with
-    dense output.
+    until the residual changes sign.  Every trial there, bracket step or
+    Brent evaluation, first runs at the relaxed tolerance max(tol, 1e-8);
+    its residual counts only while it exceeds 1e-4 (2d)^(p-1), about 100
+    times the relaxed integration error near the root.  The first residual
+    below that floor is re-run at `tol`, and so is every later trial of
+    the solve, so Brent's stop test only ever sees full-tolerance values.
+    Beyond the span, sixteen trials at the relaxed tolerance scan
+    [d_lo, d_hi] (defaults c/10 and 10c) geometrically, and Brent solves
+    each sign change at `tol`; the root of least mu is returned, and
+    "competing_roots" lists them all when there are several.  On both
+    paths the profile is the full-tolerance trial at Brent's root, and
+    "trials" counts every integration.
     """
     validate_parameters(n, p, q, alpha)
     if max_expansions < 0:
@@ -332,18 +355,36 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     if not 0.0 < d_lo <= d_hi:
         raise ValueError(f"need 0 < d_lo <= d_hi, got {d_lo}, {d_hi}")
 
-    trials = 0
+    relaxed = max(tol, _RELAXED_TOL)
+    trials, kept = 0, {}
+    full = relaxed == tol  # once set, every trial runs at tol
 
-    def miss(d, trial_tol=max(tol, 1e-8)):
+    def relaxed_miss(d):
         nonlocal trials
         trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=trial_tol)
+        return shooting_miss(n, p, q, alpha, d, tol=relaxed)
+
+    def full_miss(d):
+        nonlocal trials
+        trials += 1
+        kept.clear()  # Brent's root is nearly always its last trial
+        return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept)
+
+    def centre_miss(d):
+        nonlocal full
+        if not full:
+            f = relaxed_miss(d)
+            if abs(f) > _RELAXED_FLOOR * (2.0 * d) ** (p - 1.0):
+                return f
+            full = True
+        return full_miss(d)
 
     if scan:
+        bracket_miss, root_miss = relaxed_miss, full_miss
         ds, fs = [], []
         for d in np.geomspace(d_lo, d_hi, _SCAN_POINTS):
             try:
-                fs.append(miss(d))
+                fs.append(relaxed_miss(d))
             except IntegrationError:  # overflow; the neighbours still bracket
                 continue
             ds.append(d)
@@ -354,20 +395,22 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
                     for i in sign_change_pairs(fs)]
         d_lo, d_hi, f_lo, f_hi = ds[0], ds[-1], fs[0], fs[-1]
     else:
+        bracket_miss = root_miss = centre_miss
         brackets = []
-        f_lo = miss(d_lo)
-        f_hi = f_lo if d_hi == d_lo else miss(d_hi)
+        f_lo = bracket_miss(d_lo)
+        f_hi = f_lo if d_hi == d_lo else bracket_miss(d_hi)
     expansions = 0
     if not brackets:
-        *pair, expansions = _bracket(miss, d_lo, d_hi, f_lo, f_hi,
+        *pair, expansions = _bracket(bracket_miss, d_lo, d_hi, f_lo, f_hi,
                                      max_expansions)
         brackets = [tuple(pair)]
 
     candidates, error = [], None
     for bracket in brackets:
         try:
-            candidates.append(_root_profile(n, p, q, alpha, grid, tol, miss,
-                                            bracket, expansions))
+            candidates.append(_root_profile(n, p, q, alpha, grid, root_miss,
+                                            full_miss, kept, bracket,
+                                            expansions))
         except ConvergenceError as exc:  # spurious crossing of a surrogate
             error = exc
     if not candidates:

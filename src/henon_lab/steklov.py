@@ -34,15 +34,14 @@ def _validate(n: int, p: float) -> None:
         raise ValueError(f"p must be finite and >= 2, got {p}")
 
 
-def _shoot(n: int, p: float, tol: float, dense: bool = True):
+def _shoot(n: int, p: float, tol: float):
     # Homogeneity: the origin value is arbitrary, 1.0 keeps magnitudes tame.
     seed = series_seed(p, n, 1.0, SEED_RADIUS, 1.0 / n)
-    nm1 = n - 1
 
-    def rhs(r, u):
-        return r ** nm1 * u ** (p - 1.0)
+    def source(r, u):
+        return u ** (p - 1.0)
 
-    return integrate_flux_ode(rhs, seed, 1.0, p=p, n=n, tol=tol, dense=dense)
+    return integrate_flux_ode(source, seed, 1.0, p=p, n=n, tol=tol)
 
 
 def _boundary_quotient(end: FluxState, n: int, p: float, tol: float) -> float:
@@ -62,7 +61,7 @@ def steklov_eigenvalue(n: int, p: float, *, tol: float = 1e-10) -> float:
     involve any spatial grid, so it is cheap enough for parameter scans.
     """
     _validate(n, p)
-    return _boundary_quotient(_shoot(n, p, tol, dense=False).end, n, p, tol)
+    return _boundary_quotient(_shoot(n, p, tol).end, n, p, tol)
 
 
 @dataclass

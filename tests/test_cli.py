@@ -1,5 +1,7 @@
 """End-to-end CLI checks: records, CSV round-trips, exit codes, sweep."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from cli_child import PACKAGE_PARENT, run_cli
-from henon_lab import compute_ipn, solve_henon, solve_steklov
+from henon_lab import cli, compute_ipn, solve_henon, solve_steklov
 from henon_lab.cli import trapezoid_quotient
 
 SCHEMA = "henon-lab/1"
@@ -77,6 +79,26 @@ def test_radial_oracle_cross_check():
     assert res["mu_variational"] >= res["mu"]
     assert res["l2_distance"] <= 1e-2
     assert record_of(proc)["diagnostics"]["oracle"]["iterations"] > 0
+
+
+def test_oracle_gap_above_its_tolerance_is_a_solver_error():
+    # Beyond one_root_span the oracle, a local method, converges on the
+    # mu = 4.014 critical point while shooting finds the ground state at
+    # 1.179: the gap the record would state breaks its 1e-3 tolerance.
+    argv = ["radial", "--n", "5", "--p", "4.5", "--q", "47.25", "--alpha",
+            "5", "--oracle"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    proc = run_cli(*argv)
+    assert code == proc.returncode == 1
+    assert out.getvalue() == proc.stdout
+    record, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert not proc.stdout[end:].strip()
+    assert record["error"]["type"] == "ConvergenceError"
+    message = record["error"]["message"]
+    assert "oracle mu 4.014" in message and "shooting mu 1.179" in message
 
 
 def test_second_variation_record(tmp_path):

@@ -13,10 +13,9 @@ from henon_lab.flux_ode import (SEED_RADIUS, FluxState, grad_from_flux,
                                 series_seed)
 
 
-def _linear_rhs(n):
-    def rhs(r, u):
-        return r ** (n - 1) * u
-    return rhs
+def _linear(r, u):
+    """Source of (r^(n-1) u')' = r^(n-1) u."""
+    return u
 
 
 def test_seed_validation():
@@ -43,7 +42,7 @@ def test_sinh_profile_n3_p2():
     # (r^2 u')' = r^2 u with u bounded at 0 has u = u0 sinh(r)/r, hence
     # u(1) = u0 sinh(1) and F(1) = r^2 u'|_1 = u0 (cosh 1 - sinh 1).
     seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-11)
     assert traj.status == "completed"
     end = traj.end
     assert abs(end.value - 1.1752011936438014) < 1e-9
@@ -52,28 +51,35 @@ def test_sinh_profile_n3_p2():
 
 def test_dense_output_tracks_solution():
     seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-11)
     r = np.linspace(0.05, 1.0, 40)
     assert np.max(np.abs(traj.value_at(r) - np.sinh(r) / r)) < 1e-9
     exact_grad = (np.cosh(r) * r - np.sinh(r)) / r ** 2
     assert np.max(np.abs(traj.grad_at(r) - exact_grad)) < 1e-8
 
 
-def test_no_dense_output_raises_on_query():
+def test_dense_output_is_built_once_on_first_evaluation():
+    # A run keeps its steps as recorded; the quartic coefficients are built
+    # on the first query, replace the stage derivatives, and serve every
+    # later query.
     seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=1e-8,
-                              dense=False)
-    with pytest.raises(ValueError, match="dense"):
-        traj.value_at(0.5)
+    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-8)
+    assert traj._coef is None
+    assert len(traj._steps) == len(traj._stages) == traj.rs.size - 1
+    first = traj.value_at(0.5)
+    coef = traj._coef
+    assert coef.shape == (2, 4, traj.rs.size - 1) and traj._stages is None
+    assert traj.value_at(0.5) == first and traj._coef is coef
 
 
 def test_value_cap_terminates():
     # u' = u / r^(n-1) style blow-up: force it with an aggressive source.
-    def rhs(r, u):
-        return 50.0 * r ** 2 * u
+    def source(r, u):
+        return 50.0 * u
 
     seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
-    traj = integrate_flux_ode(rhs, seed, p=2.0, n=3, tol=1e-9, value_cap=10.0)
+    traj = integrate_flux_ode(source, seed, p=2.0, n=3, tol=1e-9,
+                              value_cap=10.0)
     assert traj.status == "capped"
     assert abs(traj.end.value) <= 10.0 * (1.0 + 1e-8)
     assert traj.end.radius < 1.0
@@ -81,11 +87,11 @@ def test_value_cap_terminates():
 
 def test_zero_crossing_terminates():
     # A strong sink drives u through zero before r = 1.
-    def rhs(r, u):
-        return -200.0 * r ** 2
+    def source(r, u):
+        return -200.0
 
     seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
-    traj = integrate_flux_ode(rhs, seed, p=2.0, n=3, tol=1e-9,
+    traj = integrate_flux_ode(source, seed, p=2.0, n=3, tol=1e-9,
                               stop_on_nonpositive=True)
     assert traj.status == "hit_zero"
     assert abs(traj.end.value) < 1e-8
@@ -94,15 +100,15 @@ def test_zero_crossing_terminates():
 def test_seed_window_validation():
     seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
     with pytest.raises(ValueError, match="seed radius"):
-        integrate_flux_ode(_linear_rhs(3), seed, r_end=1e-5, p=2.0, n=3)
+        integrate_flux_ode(_linear, seed, r_end=1e-5, p=2.0, n=3)
     with pytest.raises(ValueError, match="tolerance"):
-        integrate_flux_ode(_linear_rhs(3), seed, p=2.0, n=3, tol=0.0)
+        integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=0.0)
 
 
 def test_profile_evaluators_splice_below_seed():
     p, n = 2.5, 4
     seed = series_seed(p, n, 1.0, 1e-4, 1.0 / n)
-    traj = integrate_flux_ode(_linear_rhs(n), seed, p=p, n=n, tol=1e-10)
+    traj = integrate_flux_ode(_linear, seed, p=p, n=n, tol=1e-10)
     value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
     r = np.array([0.0, 1e-6, 5e-5, 2e-4, 0.5, 1.0])
     vals = value_fn(r)
@@ -116,7 +122,7 @@ def test_profile_evaluators_splice_below_seed():
     assert abs(grad_fn(5e-5) - expect) / expect < 1e-10
 
 
-def _scipy_rk45(rhs_flux, seed, p, n, tol, value_cap=None, stop=False):
+def _scipy_rk45(source, seed, p, n, tol, value_cap=None, stop=False):
     """The same integration through scipy's solve_ivp (RK45), events and
     all, as the package ran it before it had its own stepper."""
     from scipy.integrate import solve_ivp
@@ -124,8 +130,9 @@ def _scipy_rk45(rhs_flux, seed, p, n, tol, value_cap=None, stop=False):
     inv_exp = 1.0 / (p - 1.0)
 
     def rhs(r, y):
-        return (math.copysign((abs(y[1]) / r ** (n - 1)) ** inv_exp, y[1]),
-                rhs_flux(r, y[0]))
+        rn = r ** (n - 1)
+        return (math.copysign((abs(y[1]) / rn) ** inv_exp, y[1]),
+                rn * source(r, y[0]))
 
     events = []
     if value_cap is not None:
@@ -153,12 +160,12 @@ def _henon_case(n, p, q, alpha, center_factor):
     d = center_factor * henon._initial_center(n, p, q, alpha)
     seed = series_seed(p, n, d, SEED_RADIUS,
                        henon._flux_coeff(n, p, q, alpha, d))
-    return henon._rhs_factory(n, p, q, alpha), seed, d
+    return henon._source_factory(p, q, alpha), seed, d
 
 
 def _steklov_case():
     seed = series_seed(2.5, 4, 1.0, SEED_RADIUS, 1.0 / 4)
-    return (lambda r, u: r ** 3 * u ** 1.5), seed
+    return (lambda r, u: u ** 1.5), seed
 
 
 @pytest.mark.parametrize("case", ["steklov", "hit_zero", "capped"])
@@ -169,13 +176,13 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
     # and over 234 Henon trials step control amplified that rounding to
     # 5e-11 relative at worst, without changing a single step count.
     if case == "steklov":
-        (rhs_flux, seed), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
+        (source, seed), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
             1e-10, None, False
     elif case == "hit_zero":
-        rhs_flux, seed, d = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
+        source, seed, d = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
         p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6 * d, True
     else:
-        rhs_flux, seed, d = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
+        source, seed, d = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
         p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2 * d, True
     runs = []
     stepper = flux_ode.solve_ivp
@@ -185,9 +192,9 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(flux_ode, "solve_ivp", spy)
-    traj = integrate_flux_ode(rhs_flux, seed, p=p, n=n, tol=tol,
+    traj = integrate_flux_ode(source, seed, p=p, n=n, tol=tol,
                               value_cap=cap, stop_on_nonpositive=stop)
-    ref, status = _scipy_rk45(rhs_flux, seed, p, n, tol, cap, stop)
+    ref, status = _scipy_rk45(source, seed, p, n, tol, cap, stop)
     assert traj.status == status == ("completed" if case == "steklov"
                                      else case)
     assert traj.rs.size == ref.t.size
@@ -210,20 +217,20 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
     # and the trial is classified.  From d = 3.2 the solution itself
     # crosses the threshold, and the run ends as an IntegrationError.
     overflows = []
-    factory = henon._rhs_factory
+    factory = henon._source_factory
 
     def watched(*params):
-        rhs = factory(*params)
+        source = factory(*params)
 
         def spy(r, w):
             try:
-                return rhs(r, w)
+                return source(r, w)
             except OverflowError:
                 overflows.append(r)
                 raise
         return spy
 
-    monkeypatch.setattr(henon, "_rhs_factory", watched)
+    monkeypatch.setattr(henon, "_source_factory", watched)
     assert henon._trial(4, 3.0, 607.5, 400.0, 3.0, 1e-8).status == "hit_zero"
     assert overflows and min(overflows) > SEED_RADIUS
     overflows.clear()
@@ -235,5 +242,5 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
 def test_complex_rhs_is_an_integration_error():
     # u falls through zero, and u ** 1.5 of a negative float is complex.
     with pytest.raises(IntegrationError, match="complex|j\\)"):
-        integrate_flux_ode(lambda r, u: u ** 1.5, FluxState(0.1, 1.0, -1.0),
-                           p=2.0, n=3)
+        integrate_flux_ode(lambda r, u: u ** 1.5 / r ** 2,
+                           FluxState(0.1, 1.0, -1.0), p=2.0, n=3)

@@ -2,11 +2,15 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_child import run_cli
+from henon_lab import cli, flux_ode, henon
 from henon_lab.errors import BracketError, ConvergenceError, IntegrationError
 from henon_lab.henon import (_initial_center, admissible_q_upper,
                              critical_exponent, derivative_asymptotics,
@@ -126,20 +130,109 @@ def _band(n, p):
     return "p = 2" if p == 2.0 else "2 < p <= 3" if p <= 3.0 else "p > 3"
 
 
-def test_trials_per_solve_by_p_band():
-    # The centre-out bracket costs 2 trials at the prediction and Brent on
-    # the flux a few more; the old 16-point scan alone cost 16.
-    trials = {}
+def _integrations(monkeypatch):
+    """(tol, seed state, accepted steps) of every `solve_ivp` run from now
+    on.  The first run of a solve with the default bracket is the Steklov
+    shot behind the prediction; every later one is a shooting trial."""
+    runs = []
+    stepper = flux_ode.solve_ivp
+
+    def spy(fun, r0, r_end, u0, flux0, **kwargs):
+        sol = stepper(fun, r0, r_end, u0, flux0, **kwargs)
+        runs.append((kwargs["tol"], (u0, flux0), int(sol.t.size) - 1))
+        return sol
+
+    monkeypatch.setattr(flux_ode, "solve_ivp", spy)
+    return runs
+
+
+def test_trials_per_solve_by_p_band(monkeypatch):
+    # The centre-out bracket tries 2 origin values at the prediction and
+    # Brent on the flux a few more; the old 16-point scan alone tried 16.
+    # Only trials near the root run at full tolerance.
+    runs = _integrations(monkeypatch)
+    origins, full = {}, {}
     for n in (4, 5):
         for p in (2.0, 2.5 if n == 4 else 3.0, n - 0.5):
             for alpha in (10.0, 400.0):
                 for dq in (0.1, 2.0):
+                    runs.clear()
                     sol = solve_henon(n, p, p + dq, alpha, refinement=5)
-                    trials.setdefault(_band(n, p), []).append(
-                        sol.diagnostics["trials"])
-    for band, counts in trials.items():
+                    trials = runs[1:]
+                    assert len(trials) == sol.diagnostics["trials"]
+                    origins.setdefault(_band(n, p), []).append(
+                        len({seed for _, seed, _ in trials}))
+                    full.setdefault(_band(n, p), []).append(
+                        sum(tol == 1e-10 for tol, _, _ in trials))
+    for band, counts in origins.items():
         assert np.median(counts) <= 8, (band, counts)
         assert max(counts) <= 16, (band, counts)
+        assert np.median(full[band]) <= 4, (band, full[band])
+
+
+GOLDEN_RADIAL = [(4, 2.0, 3.0, 400.0), (4, 3.0, 3.5, 100.0),
+                 (5, 2.5, 4.0, 25.0), (3, 2.0, 2.2, 0.0)]
+# Shooting trials of one default solve at the golden radial points:
+# (relaxed integrations, full-tolerance integrations, accepted steps).
+SOLVE_WORK = {
+    (4, 2.0, 3.0, 400.0): (4, 2, 478),
+    (4, 3.0, 3.5, 100.0): (4, 4, 1113),
+    (5, 2.5, 4.0, 25.0): (5, 3, 609),
+    (3, 2.0, 2.2, 0.0): (5, 3, 41),
+}
+
+
+def test_shooting_work_at_the_golden_points(monkeypatch):
+    # Far from the root a trial runs at the relaxed tolerance; near it at
+    # full tolerance, once per origin value, and the trial at the root is
+    # the profile: no origin value is integrated twice at full tolerance.
+    runs = _integrations(monkeypatch)
+    for point in GOLDEN_RADIAL:
+        runs.clear()
+        sol = solve_henon(*point)
+        trials = runs[1:]
+        assert len(trials) == sol.diagnostics["trials"]
+        full = [seed for tol, seed, _ in trials if tol == 1e-10]
+        assert len(set(full)) == len(full), point
+        work = (len(trials) - len(full), len(full),
+                sum(steps for _, _, steps in trials))
+        assert work == SOLVE_WORK[point], (point, work)
+
+
+def test_mu_meets_the_printed_tolerance(monkeypatch):
+    # `radial` states mu to max(tol, 1e-7) relative.  The reference
+    # integrates at 1e-12 and stops Brent at a flux of 1e-14 (a+b)^(p-1)
+    # on the bracket [a, b].
+    mus = {point: solve_henon(*point).mu for point in GOLDEN_RADIAL}
+    monkeypatch.setattr(henon, "_FLUX_TOL", 1e-14)
+    for point, mu in mus.items():
+        ref = solve_henon(*point, tol=1e-12).mu
+        assert abs(mu - ref) <= cli._MU_TOL_FLOOR * ref, (point, mu, ref)
+
+
+@st.composite
+def centre_out_points(draw):
+    n = draw(st.integers(3, 6))
+    p = draw(st.floats(2.0, n - 0.5))
+    alpha = draw(st.floats(5.0, 400.0))
+    span = one_root_span(n, p, alpha)
+    u = draw(st.floats(0.0, 1.0))
+    return n, p, p + 0.05 * (span / 0.05) ** u, alpha
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(centre_out_points())
+def test_relaxed_trials_keep_the_solve(point):
+    # Relaxed residuals steer the bracket and Brent only far from the
+    # root, so the solve meets the `shoot` invariants, and mu stays within
+    # 1e-7 of the solve that runs every trial at full tolerance.
+    sol = solve_henon(*point)
+    assert math.isfinite(sol.mu)
+    assert sol.diagnostics["mu_quotient_rel_err"] <= 1e-6
+    assert np.all(sol.v.values > 0.0)
+    with mock.patch.object(henon, "_RELAXED_FLOOR", math.inf):
+        full = solve_henon(*point)
+    assert abs(sol.mu - full.mu) <= 1e-7 * full.mu, (point, sol.mu, full.mu)
 
 
 def test_shooting_residual_has_one_root():
