@@ -19,8 +19,7 @@ from .errors import (BracketError, ConvergenceError, IntegrationError,
 from .henon import (HenonSolution, LimitPoint, LimitReport, SlopeReport,
                     admissible_q_upper, critical_exponent,
                     derivative_asymptotics, limit_comparison, one_root_span,
-                    resample, shooting_miss, solve_henon,
-                    validate_parameters)
+                    shooting_miss, solve_henon, validate_parameters)
 from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms, build_grid
 from .second_variation import (EigenprofileReport, PencilResult,
                                PositivityScan, PotentialProfile, ScanCell,
@@ -52,7 +51,7 @@ __all__ = [
     "SteklovSolution", "steklov_eigenvalue", "solve_steklov",
     "bessel_lambda2", "limit_form_min_closed", "limit_form_min_numeric",
     "limit_form_matrix",
-    "HenonSolution", "solve_henon", "resample", "shooting_miss",
+    "HenonSolution", "solve_henon", "shooting_miss",
     "validate_parameters", "critical_exponent", "admissible_q_upper",
     "one_root_span",
     "SlopeReport", "derivative_asymptotics",

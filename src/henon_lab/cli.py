@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
-from .henon import solve_henon
+from .henon import MU_QUOTIENT_TOL, solve_henon
 from .second_variation import eigenprofile_steepness, min_second_variation
 from .special import surface_measure
 from .stability import (appendix_table, compute_k, find_p_loc, find_q_loc,
@@ -117,9 +117,7 @@ def _run_steklov(args) -> dict:
 
 def _run_radial(args) -> dict:
     sol = solve_henon(args.n, args.p, args.q, args.alpha,
-                      refinement=args.refine, tol=args.tol,
-                      d_lo=args.d_lo, d_hi=args.d_hi,
-                      max_expansions=args.max_expansions)
+                      refinement=args.refine, tol=args.tol)
     inputs = {"n": args.n, "p": args.p, "q": args.q, "alpha": args.alpha,
               "refine": args.refine, "tol": args.tol,
               "oracle": bool(args.oracle)}
@@ -128,7 +126,7 @@ def _run_radial(args) -> dict:
                "v_origin": sol.v.origin_value,
                "v_boundary": sol.v.boundary_value}
     tolerances = {"mu": max(args.tol, _MU_TOL_FLOOR),
-                  "mu_quotient_rel_err": 1e-6}
+                  "mu_quotient_rel_err": MU_QUOTIENT_TOL}
     diagnostics = dict(sol.diagnostics)
     profiles = {}
     if args.profile_out:
@@ -333,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cross-check against direct minimization")
     radial.add_argument("--profile-out", metavar="CSV",
                         help="write the normalized profile as CSV")
-    radial.add_argument("--d-lo", type=float, default=None,
-                        help="override the lower shooting bracket")
-    radial.add_argument("--d-hi", type=float, default=None,
-                        help="override the upper shooting bracket")
-    radial.add_argument("--max-expansions", type=int, default=12,
-                        help="bracket growth attempts before giving up")
 
     second = sub.add_parser("second-variation", help="smallest "
                             "second-variation eigenvalue of an angular mode")

@@ -19,7 +19,8 @@ states differ by rounding.  Every run keeps its step lengths and stage
 derivatives as plain lists; the quartic coefficients of the dense output
 are built from them on a trajectory's first evaluation, so a run whose
 interior is never queried (a shooting trial judged by its end state alone)
-never pays for them.
+never pays for them.  `step_quadrature` integrates a profile over the same
+steps.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .mesh import check_dimension
 from .rootfind import _brent
 
 __all__ = ["FluxState", "FluxTrajectory", "series_seed", "integrate_flux_ode",
-           "grad_from_flux", "profile_evaluators"]
+           "grad_from_flux", "profile_evaluators", "step_quadrature"]
 
 # Radius where every outward integration leaves the startup series.
 SEED_RADIUS = 1e-4
@@ -166,6 +167,13 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # the error estimate is fourth order
 _SQRT2 = 2 ** 0.5
 _EVENT_XTOL = 4 * sys.float_info.epsilon
+# The 4-point Gauss-Legendre rule on [0, 1].
+_GAUSS_T = (math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+            math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)))
+_GAUSS_X = np.array([(1 - _GAUSS_T[1]) / 2, (1 - _GAUSS_T[0]) / 2,
+                     (1 + _GAUSS_T[0]) / 2, (1 + _GAUSS_T[1]) / 2])
+_GAUSS_W = np.array([18 - 30 ** 0.5, 18 + 30 ** 0.5,
+                     18 + 30 ** 0.5, 18 - 30 ** 0.5]) / 72
 
 
 @dataclass
@@ -197,7 +205,8 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
               stop_on_nonpositive: bool = False) -> OdeSteps:
     """Dormand-Prince 5(4) for (u, F)' = fun(r, u, F) on [r0, r_end].
 
-    atol = rtol = tol.  A step whose stages overflow, or whose error or new
+    atol = rtol = tol.  A step whose stages raise ArithmeticError (overflow,
+    or r^(n-1) underflowing to zero in a division), or whose error or new
     state is not finite, is rejected and shrunk; a step below ten float
     spacings of r raises IntegrationError.  Integration stops early where
     the dense output has u cross zero downward (stop_on_nonpositive) or
@@ -205,7 +214,7 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
     """
     try:
         k0u, k0f = fun(r0, u0, flux0)
-    except OverflowError:
+    except ArithmeticError:
         k0u = k0f = math.inf
     if not (math.isfinite(k0u) and math.isfinite(k0f)):
         raise IntegrationError(f"derivative at r={r0:.6g} is not finite",
@@ -220,7 +229,7 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
     try:
         ku, kf = fun(r0 + h0, u0 + h0 * k0u, flux0 + h0 * k0f)
         d2 = _rms((ku - k0u) / scale_u, (kf - k0f) / scale_f) / h0
-    except OverflowError:
+    except ArithmeticError:
         d2 = math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -280,7 +289,7 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
                            (k0f * e0 + k2f * e2 + k3f * e3 + k4f * e4
                             + k5f * e5 + k6f * e6) * h
                            / (tol + max(abs(f), abs(f_new)) * tol))
-            except OverflowError:
+            except ArithmeticError:
                 err = math.inf
             if err < 1.0 and math.isfinite(u_new) and math.isfinite(f_new):
                 factor = (_MAX_FACTOR if err == 0.0 else
@@ -412,3 +421,16 @@ def profile_evaluators(traj: FluxTrajectory, u0: float, flux_coeff: float):
         return np.where(r < r0, series, dense_grads)
 
     return value_fn, grad_fn
+
+
+def step_quadrature(traj: FluxTrajectory):
+    """Nodes and weights of a rule for integrals of a profile over [0, r_end].
+
+    A 4-point Gauss-Legendre rule on [0, rs[0]], where the startup series
+    gives the profile, and on every accepted step, where the quartic dense
+    output does (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The
+    steps follow the scales of the profile, so no output grid enters.
+    """
+    edges = np.concatenate(([0.0], traj.rs))
+    h = np.diff(edges)[:, None]
+    return (edges[:-1, None] + h * _GAUSS_X).ravel(), (h * _GAUSS_W).ravel()

@@ -27,7 +27,10 @@ scan [c/10, 10c], every sign change is solved, and the root of least mu is
 the ground state.  Trials far from the root run at a relaxed tolerance,
 trials near it at the full one, and the full-tolerance trial at Brent's
 root is kept as the profile: no trial is integrated twice at full
-tolerance.
+tolerance.  Its norm and mu are integrated on its own steps
+(`flux_ode.step_quadrature`), so they do not depend on the output grid,
+and a solve whose quotient misses mu by more than MU_QUOTIENT_TOL raises
+ConvergenceError.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, IntegrationError
 from .flux_ode import (SEED_RADIUS, grad_from_flux, integrate_flux_ode,
-                       profile_evaluators, series_seed)
+                       profile_evaluators, series_seed, step_quadrature)
 from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
 from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
@@ -46,7 +49,7 @@ from .steklov import _boundary_quotient, _shoot as _steklov_shot, solve_steklov
 
 __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
            "admissible_q_upper", "one_root_span", "shooting_miss",
-           "solve_henon", "resample", "SlopeReport", "derivative_asymptotics",
+           "solve_henon", "SlopeReport", "derivative_asymptotics",
            "LimitPoint", "LimitReport", "limit_comparison"]
 
 # Trial profiles larger than this multiple of the origin value are classified
@@ -65,8 +68,12 @@ _FLUX_TOL = 1e-9
 _RELAXED_TOL = 1e-8
 _RELAXED_FLOOR = 1e-4
 _SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
+_MAX_EXPANSIONS = 12  # bracket steps before the search gives up
 _PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# Largest relative gap between mu and the quotient of the profile that a
+# solve returns; every `radial` record states it.
+MU_QUOTIENT_TOL = 1e-6
 
 
 def critical_exponent(n: int, p: float) -> float:
@@ -197,18 +204,18 @@ def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
     return mu_pred ** expo * phi0
 
 
-def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float,
-             max_expansions: int):
+def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float):
     """Step [lo, hi] outward until the residual changes sign.
 
     The residual falls with d, so a positive value at hi moves the pair up
     and a negative value at lo moves it down.  A pair that is one point
     (lo == hi) takes a first step of 2x, any other pair 4x.  Each expansion
-    costs one trial.  Returns (lo, hi, f_lo, f_hi, expansions).
+    costs one trial; after _MAX_EXPANSIONS of them it raises BracketError.
+    Returns (lo, hi, f_lo, f_hi, expansions).
     """
     expansions = 0
     while f_lo * f_hi > 0.0:
-        if expansions >= max_expansions:
+        if expansions >= _MAX_EXPANSIONS:
             raise BracketError(
                 f"no sign change of the shooting residual in "
                 f"[{lo:.4g}, {hi:.4g}] after {expansions} expansions")
@@ -245,27 +252,42 @@ class HenonSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
-              diagnostics) -> HenonSolution:
-    """Integrate norm and quotient of w; boundary_flux is the F(1) of w."""
+def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
+    """Package the completed trial `traj` from origin value d0 as w.
+
+    N = int (|w'|^p + w^p) r^(n-1) and D = int r^(alpha+n-1) w^q are
+    integrated by `step_quadrature` on the trial's own steps; the grid only
+    tabulates w and v.  mu = ||w||^(p(q-p)/q) = (|S| N)^((q-p)/q) and the
+    quotient |S|^(1-p/q) N / D^(p/q) are the same number for the exact
+    profile, since Q(w) = mu rests on the weak form; their relative gap,
+    "mu_quotient_rel_err", checks quadrature and the boundary residual at
+    once.  A gap above MU_QUOTIENT_TOL, or one that is not finite, raises
+    ConvergenceError.
+    """
+    value_fn, grad_fn = profile_evaluators(
+        traj, d0, _flux_coeff(n, p, q, alpha, d0))
     meas = surface_measure(n)
-    rq = grid.quad_x
+    rq, weights = step_quadrature(traj)
     wq = np.maximum(value_fn(rq), 0.0)
     dwq = grad_fn(rq)
-    # An overflowing profile is caught by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        num_int = grid.integrate((np.abs(dwq) ** p + wq ** p) * rq ** (n - 1))
-        den_int = grid.integrate(rq ** (alpha + n - 1) * wq ** q)
-    norm_w = (meas * num_int) ** (1.0 / p)
-    mu = norm_w ** (p * (q - p) / q)
-    # Same number through the quotient; agreement checks quadrature and the
-    # boundary residual at once, since Q(w) = mu rests on the weak form.
-    mu_quotient = meas ** (1.0 - p / q) * num_int / den_int ** (p / q)
-    rel_err = abs(mu_quotient - mu) / mu
+    # An overflowing or underflowing profile is caught by the finiteness
+    # check below; the sums stay numpy floats, so D = 0 gives inf, not an
+    # exception.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num_int = np.dot(weights, (np.abs(dwq) ** p + wq ** p) * rq ** (n - 1))
+        den_int = np.dot(weights, rq ** (alpha + n - 1) * wq ** q)
+        norm_w = (meas * num_int) ** (1.0 / p)
+        mu = norm_w ** (p * (q - p) / q)
+        mu_quotient = meas ** (1.0 - p / q) * num_int / den_int ** (p / q)
+        rel_err = abs(mu_quotient - mu) / mu
     if not (math.isfinite(mu) and math.isfinite(rel_err)):
         raise ConvergenceError(
             f"profile at origin value {d0:.8g} gave mu = {mu:.6g} with "
             f"quotient error {rel_err:.3g}: its quadrature is not finite")
+    if rel_err > MU_QUOTIENT_TOL:
+        raise ConvergenceError(
+            f"profile at origin value {d0:.8g} gave mu = {mu:.10g} with "
+            f"quotient error {rel_err:.3g}, above {MU_QUOTIENT_TOL:g}")
 
     w = RadialFunction(grid, np.asarray(value_fn(grid.nodes), dtype=float),
                        np.asarray(grad_fn(grid.nodes), dtype=float),
@@ -276,17 +298,16 @@ def _finalize(n, p, q, alpha, grid, d0, boundary_flux, value_fn, grad_fn,
                        _deriv_fn=lambda r: inv * np.asarray(grad_fn(r)))
     diagnostics = dict(diagnostics)
     diagnostics["mu_quotient_rel_err"] = float(rel_err)
-    shoot_res = abs(boundary_flux) * inv ** (p - 1.0)
+    shoot_res = abs(traj.end.flux) * inv ** (p - 1.0)
     return HenonSolution(n=n, p=p, q=q, alpha=alpha, d0=float(d0),
                          mu=float(mu), norm_w=float(norm_w),
                          shoot_res=float(shoot_res), w=w, v=v,
                          grid=grid, diagnostics=diagnostics)
 
 
-def _root_profile(n, p, q, alpha, grid, miss, full_miss, kept, bracket,
-                  expansions):
-    """Brent on one bracket; the full-tolerance trial at its root is the
-    profile.  `kept` maps the origin value of the last full-tolerance trial
+def _root(p, miss, full_miss, kept, bracket):
+    """Brent on one bracket; returns the root and the full-tolerance trial
+    there.  `kept` maps the origin value of the last full-tolerance trial
     to its trajectory, and `full_miss` runs one."""
     a, b, fa, fb = bracket
     # The quotient is stationary at the root, so mu is quadratically
@@ -300,60 +321,38 @@ def _root_profile(n, p, q, alpha, grid, miss, full_miss, kept, bracket,
                     x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
     if d0 not in kept:  # a bracket end, a relaxed trial or an earlier point
         full_miss(d0)
-    final = kept[d0]
-    if final.status != "completed":
-        raise ConvergenceError(
-            f"profile at the fitted origin value {d0:.8g} terminated "
-            f"early ({final.status} at r={final.end.radius:.6g})")
-    value_fn, grad_fn = profile_evaluators(
-        final, d0, _flux_coeff(n, p, q, alpha, d0))
-    diagnostics = {
-        "bracket": (float(a), float(b)),
-        "expansions": expansions,
-        "ode_steps": int(final.rs.size),
-    }
-    return _finalize(n, p, q, alpha, grid, d0, final.end.flux,
-                     value_fn, grad_fn, diagnostics)
+    return d0, kept[d0]
 
 
 def solve_henon(n: int, p: float, q: float, alpha: float, *,
                 grid: RadialGrid | None = None, refinement: int = 8,
-                tol: float = 1e-10, d_lo: float | None = None,
-                d_hi: float | None = None, max_expansions: int = 12
-                ) -> HenonSolution:
+                tol: float = 1e-10) -> HenonSolution:
     """Shoot for the ground state and package profile, mu, and diagnostics.
 
-    Within `one_root_span` the bracket starts from the pair (d_lo, d_hi),
-    each defaulting to the large-alpha prediction c, and steps outward
-    until the residual changes sign.  Every trial there, bracket step or
-    Brent evaluation, first runs at the relaxed tolerance max(tol, 1e-8);
-    its residual counts only while it exceeds 1e-4 (2d)^(p-1), about 100
-    times the relaxed integration error near the root.  The first residual
-    below that floor is re-run at `tol`, and so is every later trial of
-    the solve, so Brent's stop test only ever sees full-tolerance values.
-    Beyond the span, sixteen trials at the relaxed tolerance scan
-    [d_lo, d_hi] (defaults c/10 and 10c) geometrically, and Brent solves
-    each sign change at `tol`; the root of least mu is returned, and
-    "competing_roots" lists them all when there are several.  On both
+    Within `one_root_span` the bracket starts at the large-alpha
+    prediction c and steps outward until the residual changes sign.
+    Every trial there, bracket step or Brent evaluation, first runs at the
+    relaxed tolerance max(tol, 1e-8); its residual counts only while it
+    exceeds 1e-4 (2d)^(p-1), about 100 times the relaxed integration error
+    near the root.  The first residual below that floor is re-run at
+    `tol`, and so is every later trial of the solve, so Brent's stop test
+    only ever sees full-tolerance values.  Beyond the span, sixteen trials
+    at the relaxed tolerance scan [c/10, 10c] geometrically, and Brent
+    solves each sign change at `tol`; the root of least mu is returned,
+    and "competing_roots" lists them all when there are several.  On both
     paths the profile is the full-tolerance trial at Brent's root, and
-    "trials" counts every integration.
+    "trials" counts every integration.  mu, d0 and norm_w come from that
+    trial alone (`_finalize`); `grid`, or a grid at `refinement`, only
+    tabulates w and v.
     """
     validate_parameters(n, p, q, alpha)
-    if max_expansions < 0:
-        raise ValueError("max_expansions must be nonnegative")
     if grid is None:
         grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
     elif grid.n != n:
         raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
 
     scan = q - p > one_root_span(n, p, alpha)
-    if d_lo is None or d_hi is None:
-        center = _initial_center(n, p, q, alpha)
-        spread = 10.0 if scan else 1.0
-        d_lo = center / spread if d_lo is None else d_lo
-        d_hi = center * spread if d_hi is None else d_hi
-    if not 0.0 < d_lo <= d_hi:
-        raise ValueError(f"need 0 < d_lo <= d_hi, got {d_lo}, {d_hi}")
+    center = _initial_center(n, p, q, alpha)
 
     relaxed = max(tol, _RELAXED_TOL)
     trials, kept = 0, {}
@@ -382,60 +381,49 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     if scan:
         bracket_miss, root_miss = relaxed_miss, full_miss
         ds, fs = [], []
-        for d in np.geomspace(d_lo, d_hi, _SCAN_POINTS):
+        for d in np.geomspace(center / 10.0, center * 10.0, _SCAN_POINTS):
             try:
                 fs.append(relaxed_miss(d))
             except IntegrationError:  # overflow; the neighbours still bracket
                 continue
             ds.append(d)
         if not ds:
-            raise BracketError(f"every trial in [{d_lo:.4g}, {d_hi:.4g}] "
-                               "broke down")
+            raise BracketError(f"every trial in [{center / 10.0:.4g}, "
+                               f"{center * 10.0:.4g}] broke down")
         brackets = [(ds[i], ds[i + 1], fs[i], fs[i + 1])
                     for i in sign_change_pairs(fs)]
-        d_lo, d_hi, f_lo, f_hi = ds[0], ds[-1], fs[0], fs[-1]
+        lo, hi, f_lo, f_hi = ds[0], ds[-1], fs[0], fs[-1]
     else:
         bracket_miss = root_miss = centre_miss
         brackets = []
-        f_lo = bracket_miss(d_lo)
-        f_hi = f_lo if d_hi == d_lo else bracket_miss(d_hi)
+        lo = hi = center
+        f_lo = f_hi = bracket_miss(center)
     expansions = 0
     if not brackets:
-        *pair, expansions = _bracket(bracket_miss, d_lo, d_hi, f_lo, f_hi,
-                                     max_expansions)
+        *pair, expansions = _bracket(bracket_miss, lo, hi, f_lo, f_hi)
         brackets = [tuple(pair)]
 
-    candidates, error = [], None
+    candidates, early = [], None
     for bracket in brackets:
-        try:
-            candidates.append(_root_profile(n, p, q, alpha, grid, root_miss,
-                                            full_miss, kept, bracket,
-                                            expansions))
-        except ConvergenceError as exc:  # spurious crossing of a surrogate
-            error = exc
+        d0, final = _root(p, root_miss, full_miss, kept, bracket)
+        if final.status != "completed":  # spurious crossing of a surrogate
+            early = ConvergenceError(
+                f"profile at the fitted origin value {d0:.8g} terminated "
+                f"early ({final.status} at r={final.end.radius:.6g})")
+            continue
+        diagnostics = {"bracket": (float(bracket[0]), float(bracket[1])),
+                       "expansions": expansions,
+                       "ode_steps": int(final.rs.size)}
+        candidates.append(_finalize(n, p, q, alpha, grid, d0, final,
+                                    diagnostics))
     if not candidates:
-        raise error
+        raise early
     best = min(candidates, key=lambda sol: sol.mu)
     best.diagnostics["trials"] = trials
     if len(candidates) > 1:
         best.diagnostics["competing_roots"] = [
             (sol.d0, sol.mu) for sol in candidates]
     return best
-
-
-def resample(sol: HenonSolution, grid: RadialGrid) -> HenonSolution:
-    """Re-tabulate a solved profile on another grid without re-shooting.
-
-    Norms and mu are re-integrated with the new grid's quadrature; the
-    underlying dense profile is unchanged.
-    """
-    if grid.n != sol.n:
-        raise ValueError(f"grid was built for n={grid.n}, solution has n={sol.n}")
-    diagnostics = dict(sol.diagnostics)
-    diagnostics["resampled"] = True
-    boundary_flux = sol.shoot_res * sol.norm_w ** (sol.p - 1.0)
-    return _finalize(sol.n, sol.p, sol.q, sol.alpha, grid, sol.d0,
-                     boundary_flux, sol.w, sol.w.derivative, diagnostics)
 
 
 @dataclass

@@ -22,13 +22,17 @@ __all__ = [
 ]
 
 MAX_REFINEMENT = 12
+# Radial integrations start at r = 1e-4 (flux_ode.SEED_RADIUS) with a flux
+# of order r^n, which leaves the normal float range past n = 76.
+MAX_DIMENSION = 76
 ZERO_PIVOT = -1e-300  # what `ldlt` stores for an exact zero pivot
 
 
 def check_dimension(n) -> None:
     """Every radial reduction here needs an integer dimension n >= 3."""
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension n must be an integer >= 3, got {n!r}")
+    if not (isinstance(n, (int, np.integer)) and 3 <= n <= MAX_DIMENSION):
+        raise ValueError(f"dimension n must be an integer >= 3 and <= "
+                         f"{MAX_DIMENSION}, got {n!r}")
 
 
 def _smoothstep_nodes(lo: float, hi: float, cells: int) -> np.ndarray:

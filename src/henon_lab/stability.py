@@ -93,26 +93,16 @@ def stability_point(n: int, p: float, q: float) -> StabilityPoint:
                           beta=n / conjugate_exponent(p))
 
 
-def find_q_loc(n: int, p: float, *, lambda_p: float | None = None,
-               tol: float = 1e-6) -> float:
+def find_q_loc(n: int, p: float, *, lambda_p: float | None = None) -> float:
     """Root in q of K(n, p, q) = 0: modes with q below it are stable.
 
-    The root is unique since K is affine and decreasing in q.  It may land
-    outside (p, p*); callers decide how to report such boundary cases.
+    K is affine and decreasing in q, so the root is
+    1 + lambda_p^(-p/(p-1)) (1 - (n-1) lambda_p).  It may land outside
+    (p, p*); callers decide how to report such boundary cases.
     """
     if lambda_p is None:
         lambda_p = steklov_eigenvalue(n, p)
-    lo, f_lo = 1.0, compute_k(n, p, 1.0, lambda_p)
-    hi = max(4.0, 2.0 * p)
-    f_hi = compute_k(n, p, hi, lambda_p)
-    while f_hi > 0.0:
-        hi *= 2.0
-        f_hi = compute_k(n, p, hi, lambda_p)
-        if hi > 1e12:
-            raise ConvergenceError("K(n,p,q) stayed positive out to q = 1e12")
-    return brent_root(lambda q: compute_k(n, p, q, lambda_p), lo, hi,
-                      f_tol=1e-9 * (abs(f_lo) + abs(f_hi)), x_tol=tol,
-                      fa=f_lo, fb=f_hi)
+    return 1.0 + lambda_p ** (-p / (p - 1.0)) * (1.0 - (n - 1.0) * lambda_p)
 
 
 def find_p_loc(n: int, *, tol: float = 1e-6) -> float:

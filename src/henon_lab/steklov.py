@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
-                       profile_evaluators, series_seed)
+                       profile_evaluators, series_seed, step_quadrature)
 from .mesh import (RadialFunction, RadialGrid, TridiagForm, build_grid,
                    check_dimension, ldlt, ldlt_solve)
 from .special import bessel_i, bessel_i_prime, surface_measure
@@ -83,9 +83,9 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
                   refinement: int = 8, tol: float = 1e-10) -> SteklovSolution:
     """Solve for the eigenpair and normalize the eigenfunction.
 
-    The returned phi carries dense evaluators valid on all of [0, 1]; the
-    grid only fixes where nodal values are tabulated and how norms are
-    integrated.
+    The returned phi carries dense evaluators valid on all of [0, 1].  The
+    W^1_p norm is integrated on the steps of the shot (`step_quadrature`);
+    the grid only fixes where nodal values are tabulated.
     """
     _validate(n, p)
     if grid is None:
@@ -97,11 +97,10 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
     lam = _boundary_quotient(traj.end, n, p, tol)
     value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
     meas = surface_measure(n)
-    rq = grid.quad_x
-    uq = value_fn(rq)
-    duq = grad_fn(rq)
-    norm_p = meas * grid.integrate((np.abs(duq) ** p + np.abs(uq) ** p)
-                                   * rq ** (n - 1))
+    rq, weights = step_quadrature(traj)
+    norm_p = meas * float(np.dot(weights, (np.abs(grad_fn(rq)) ** p
+                                           + np.abs(value_fn(rq)) ** p)
+                                 * rq ** (n - 1)))
     scale = norm_p ** (-1.0 / p)
 
     phi = RadialFunction(grid, scale * value_fn(grid.nodes),

@@ -8,12 +8,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_child import PACKAGE_PARENT, run_cli
-from henon_lab import cli, compute_ipn, solve_henon, solve_steklov
+from henon_lab import (admissible_q_upper, cli, compute_ipn, solve_henon,
+                       solve_steklov)
 from henon_lab.cli import trapezoid_quotient
 
 SCHEMA = "henon-lab/1"
@@ -159,10 +163,10 @@ def test_exit_codes(tmp_path):
     assert err["type"] == "ValueError"
     assert "constant profile" in err["message"]
 
-    # A solver giving up on good-looking inputs: code 1.
-    proc = run_cli("radial", "--n", "4", "--p", "2", "--q", "3",
-                   "--alpha", "25", "--d-lo", "1e9", "--d-hi", "2e9",
-                   "--max-expansions", "0")
+    # A solver giving up on admissible inputs: code 1.  At q - p = 1e-3
+    # the predicted origin value is far outside the float range.
+    proc = run_cli("radial", "--n", "6", "--p", "2", "--q", "2.001",
+                   "--alpha", "100")
     assert proc.returncode == 1
     assert record_of(proc)["error"]["type"] == "BracketError"
 
@@ -308,12 +312,8 @@ def test_non_finite_input_is_rejected_by_name(argv, call, name):
 
 
 def test_unrepresentable_origin_value_is_a_solver_error(tmp_path):
-    # At q - p = 0.001 the predicted origin value is about e^2851.
-    proc = run_cli("radial", "--n", "6", "--p", "2", "--q", "2.001",
-                   "--alpha", "100")
-    assert proc.returncode == 1
-    assert record_of(proc)["error"]["type"] == "BracketError"
-
+    # At q - p = 0.001 the predicted origin value is about e^2851;
+    # `radial` exits 1 there (test_exit_codes), and a sweep goes on.
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "points": [{"n": 6, "p": 2.0, "q": 2.001, "alpha": 100.0},
@@ -325,3 +325,40 @@ def test_unrepresentable_origin_value_is_a_solver_error(tmp_path):
     bad, good = record_of(proc)["results"]["points"]
     assert bad["error"]["type"] == "BracketError"
     assert good["mu"] > 0.0
+
+
+# A lattice spreads the draws of alpha and q - p over their ranges.
+_FRACTIONS = st.sampled_from(np.linspace(0.0, 1.0, 65).tolist())
+
+
+@st.composite
+def radial_args(draw):
+    """An admissible point with q - p in [1e-3, 10], and at most one of its
+    four values replaced by any integer (n) or any float (p, q, alpha)."""
+    n = draw(st.integers(3, 6))
+    p = draw(st.floats(2.0, n - 0.5))
+    alpha = 400.0 * draw(_FRACTIONS)
+    top = min(10.0, admissible_q_upper(n, p, alpha) - p)
+    q = p + 1e-3 * (top / 1e-3) ** draw(_FRACTIONS)
+    args = {"n": n, "p": p, "q": q, "alpha": alpha}
+    wild = draw(st.sampled_from([None, "n", "p", "q", "alpha"]))
+    if wild is not None:
+        args[wild] = draw(st.integers() if wild == "n" else st.floats())
+    return args
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(radial_args())
+def test_radial_prints_one_record_and_a_known_exit_code(args):
+    # `--p=-1e+20` rather than `--p -1e+20`, which argparse reads as a flag.
+    argv = ["radial"] + [f"--{key}={value!r}" for key, value in args.items()]
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    record, end = json.JSONDecoder().raw_decode(out.getvalue())
+    assert not out.getvalue()[end:].strip()
+    assert code == (0 if "error" not in record else
+                    1 if record["error"]["type"] != "ValueError" else 2)

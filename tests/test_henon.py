@@ -1,4 +1,6 @@
 """Ground-state shooting: parameter window, identities, and asymptotics."""
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -11,12 +13,13 @@ from hypothesis import strategies as st
 
 from cli_child import run_cli
 from henon_lab import cli, flux_ode, henon
-from henon_lab.errors import BracketError, ConvergenceError, IntegrationError
-from henon_lab.henon import (_initial_center, admissible_q_upper,
-                             critical_exponent, derivative_asymptotics,
-                             limit_comparison, one_root_span, resample,
-                             shooting_miss, solve_henon, validate_parameters)
-from henon_lab.mesh import build_grid
+from henon_lab.errors import (BracketError, ConvergenceError,
+                              IntegrationError, SolverError)
+from henon_lab.henon import (_MAX_EXPANSIONS, _bracket, _initial_center,
+                             admissible_q_upper, critical_exponent,
+                             derivative_asymptotics, limit_comparison,
+                             one_root_span, shooting_miss, solve_henon,
+                             validate_parameters)
 from henon_lab.rootfind import sign_change_pairs
 from henon_lab.special import surface_measure
 from henon_lab.steklov import bessel_lambda2
@@ -96,34 +99,30 @@ def test_profile_shape(ground_state):
     assert abs(sol.w.origin_value - sol.d0) <= 1e-10 * sol.d0
 
 
-def test_resample_preserves_mu(ground_state):
-    sol = ground_state(4, 2.0, 3.0, 50.0)
-    fine = build_grid(4, refinement=9, alpha_hint=50.0)
-    re = resample(sol, fine)
-    assert re.diagnostics["resampled"] is True
-    assert abs(re.mu - sol.mu) <= 1e-10 * sol.mu
-    assert re.d0 == sol.d0
-    with pytest.raises(ValueError, match="grid was built"):
-        resample(sol, build_grid(5, refinement=6))
+def test_bracket_steps_outward_until_the_sign_changes():
+    # A falling residual with its root at 5.5; `tried` records each trial.
+    tried = []
 
+    def miss(d):
+        tried.append(d)
+        return 5.5 - d
 
-def test_bracket_override_and_failure():
-    sol = solve_henon(4, 2.0, 3.0, 25.0)
-    again = solve_henon(4, 2.0, 3.0, 25.0,
-                        d_lo=sol.d0 * 0.8, d_hi=sol.d0 * 1.25)
-    assert abs(again.d0 - sol.d0) <= 1e-6 * sol.d0
-    # The root solve stops at a flux tolerance, so d0 keeps ~1e-8 of slack;
-    # mu inherits at most the same order through the quotient.
-    assert abs(again.mu - sol.mu) <= 1e-7 * sol.mu
-    # A pair above the root moves down by 4x: one expansion, one more trial.
-    low = solve_henon(4, 2.0, 3.0, 25.0, d_lo=sol.d0 * 2.0, d_hi=sol.d0 * 3.0)
-    assert low.diagnostics["expansions"] == 1
-    assert low.diagnostics["bracket"] == (sol.d0 * 0.5, sol.d0 * 2.0)
-    assert abs(low.mu - sol.mu) <= 1e-7 * sol.mu
-    with pytest.raises(BracketError):
-        solve_henon(4, 2.0, 3.0, 25.0, d_lo=1e9, d_hi=2e9, max_expansions=0)
-    with pytest.raises(ValueError, match="d_lo <= d_hi"):
-        solve_henon(4, 2.0, 3.0, 25.0, d_lo=2.0, d_hi=1.0)
+    # From a point below the root: 2x first, then 4x.
+    assert _bracket(miss, 1.0, 1.0, 4.5, 4.5) == (2.0, 8.0, 3.5, -2.5, 2)
+    assert tried == [2.0, 8.0]
+    # From a pair below the root: 4x at once.
+    tried.clear()
+    assert _bracket(miss, 1.0, 1.5, 4.5, 4.0) == (1.5, 6.0, 4.0, -0.5, 1)
+    assert tried == [6.0]
+    # A pair above the root moves down.
+    tried.clear()
+    assert _bracket(miss, 8.0, 12.0, -2.5, -6.5) == (2.0, 8.0, 3.5, -2.5, 1)
+    assert tried == [2.0]
+    # A residual that never changes sign spends the cap, then gives up.
+    tried.clear()
+    with pytest.raises(BracketError, match=f"{_MAX_EXPANSIONS} expansions"):
+        _bracket(lambda d: tried.append(d) or 1.0, 1.0, 1.0, 1.0, 1.0)
+    assert len(tried) == _MAX_EXPANSIONS
 
 
 def _band(n, p):
@@ -132,8 +131,8 @@ def _band(n, p):
 
 def _integrations(monkeypatch):
     """(tol, seed state, accepted steps) of every `solve_ivp` run from now
-    on.  The first run of a solve with the default bracket is the Steklov
-    shot behind the prediction; every later one is a shooting trial."""
+    on.  The first run of a solve is the Steklov shot behind the
+    prediction; every later one is a shooting trial."""
     runs = []
     stepper = flux_ode.solve_ivp
 
@@ -288,6 +287,83 @@ def test_several_roots_beyond_one_root_span():
     assert "competing_roots" not in far.diagnostics
     with pytest.raises(IntegrationError, match="not finite"):
         shooting_miss(4, 3.0, 607.5, 400.0, 10.0 * far.d0)
+
+
+# Large-q points where a Gauss rule on the output grid left quotient errors
+# of 1.4e-5 to 3.1e-5, and mu at refinement 12 of that rule.
+LARGE_Q_MU = {
+    (5, 4.5, 445.95, 50.0): 4.874080263,
+    (5, 4.5, 298.8, 50.0): 0.8797975352,
+    (4, 3.7, 1154.77, 100.0): 5.175941112,
+}
+
+
+def test_large_q_points_meet_the_quotient_contract():
+    for point, mu in LARGE_Q_MU.items():
+        sol = solve_henon(*point)
+        assert sol.diagnostics["mu_quotient_rel_err"] <= henon.MU_QUOTIENT_TOL
+        assert abs(sol.mu - mu) <= 1e-6 * mu, (point, sol.mu)
+
+
+def test_mu_does_not_depend_on_the_output_grid():
+    # N and D are integrated on the steps of the root trial, so the grid
+    # changes only the tabulated profile.
+    for point in [(4, 3.0, 3.5, 100.0), (5, 4.5, 298.8, 50.0)]:
+        sols = [solve_henon(*point, refinement=k) for k in (6, 8, 10)]
+        assert len({(s.mu, s.d0, s.norm_w) for s in sols}) == 1, point
+        nodes = [s.grid.num_nodes for s in sols]
+        assert nodes[0] < nodes[1] < nodes[2]
+
+
+def test_quotient_error_above_the_contract_is_a_convergence_error(
+        monkeypatch):
+    # Weights skewed toward r = 1 leave a quotient error of about 1.1e-5.
+    rule = henon.step_quadrature
+
+    def skewed(traj):
+        rq, weights = rule(traj)
+        return rq, weights * (1.0 + 1e-4 * rq)
+
+    monkeypatch.setattr(henon, "step_quadrature", skewed)
+    with pytest.raises(ConvergenceError, match="above 1e-06"):
+        solve_henon(4, 2.0, 3.0, 50.0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["radial", "--n", "4", "--p", "2", "--q", "3",
+                         "--alpha", "50"])
+    assert code == 1
+    record, end = json.JSONDecoder().raw_decode(out.getvalue())
+    assert not out.getvalue()[end:].strip()
+    assert record["error"]["type"] == "ConvergenceError"
+
+
+# A lattice spreads the draws: with st.floats(0, 1) half the examples of
+# admissible_points had q - p below 0.1 and alpha below 50.
+_FRACTIONS = st.sampled_from(np.linspace(0.0, 1.0, 65).tolist())
+
+
+@st.composite
+def admissible_points(draw):
+    n = draw(st.integers(3, 6))
+    p = draw(st.floats(2.0, n - 0.5))
+    alpha = 400.0 * draw(_FRACTIONS)
+    top = min(10.0, admissible_q_upper(n, p, alpha) - p)
+    return n, p, p + 0.05 * (top / 0.05) ** draw(_FRACTIONS), alpha
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(admissible_points())
+def test_every_solve_meets_its_invariants_or_raises_a_typed_error(point):
+    # q - p stays at most 10: past it, at p >= 3.5, the multi-root scan
+    # takes tens of trials per solve.
+    try:
+        sol = solve_henon(*point)
+    except (SolverError, ValueError):
+        return
+    assert sol.diagnostics["mu_quotient_rel_err"] <= 1e-6, point
+    assert sol.shoot_res <= 1e-8, point
+    assert np.all(sol.v.values > 0.0), point
 
 
 def test_non_finite_quotient_is_a_convergence_error():

@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from henon_lab.mesh import (MAX_REFINEMENT, ZERO_PIVOT, RadialFunction,
-                            TridiagForm, assemble_forms, build_grid, ldlt,
-                            ldlt_solve)
+from henon_lab.mesh import (MAX_DIMENSION, MAX_REFINEMENT, ZERO_PIVOT,
+                            RadialFunction, TridiagForm, assemble_forms,
+                            build_grid, ldlt, ldlt_solve)
 
 
 def test_grid_basic_shape():
@@ -42,6 +42,11 @@ def test_alpha_layer_resolution():
 def test_grid_validation():
     with pytest.raises(ValueError, match="integer >= 3"):
         build_grid(2)
+    # Far above the cap, the Gauss rule of ceil(n/2) points per cell alone
+    # would need gigabytes.
+    for n in (MAX_DIMENSION + 1, 100000):
+        with pytest.raises(ValueError, match=f"<= {MAX_DIMENSION}"):
+            build_grid(n)
     with pytest.raises(ValueError, match="refinement"):
         build_grid(4, refinement=0)
     with pytest.raises(ValueError, match="refinement"):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from henon_lab.errors import ConvergenceError
-from henon_lab.mesh import build_grid
+from henon_lab.mesh import MAX_DIMENSION, build_grid
 from henon_lab.special import surface_measure
 from henon_lab.steklov import (bessel_lambda2, limit_form_min_closed,
                                limit_form_min_numeric, solve_steklov,
@@ -23,6 +23,13 @@ def test_p2_matches_bessel_closed_form():
         assert abs(bessel_lambda2(n) - want) <= 1e-13
         lam = steklov_eigenvalue(n, 2.0)
         assert abs(lam - want) <= 1e-9 * want, n
+
+
+def test_highest_dimension_still_matches_bessel():
+    # At n = MAX_DIMENSION the startup flux r^n is near the smallest
+    # normal float, and the shot still meets the closed form.
+    want = bessel_lambda2(MAX_DIMENSION)
+    assert abs(steklov_eigenvalue(MAX_DIMENSION, 2.0) - want) <= 1e-8 * want
 
 
 def test_bessel_lambda2_matches_mpmath():
