@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -293,6 +294,17 @@ def _run_sweep(args) -> dict:
                    {"output_dir": str(output_dir)} if output_dir else {})
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes -1 and -1.5 for values but -1e-05 and -inf for flags.
+    No flag here starts with a digit, '.', 'inf' or 'nan', so every negative
+    float is a value and reaches the range checks of the solvers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+
 _HANDLERS = {
     "steklov": _run_steklov,
     "radial": _run_radial,
@@ -304,7 +316,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="henon-lab",
         description="Radial eigenvalue and ground-state computations on the "
                     "unit ball, with machine-checkable JSON/CSV output.")

@@ -5,8 +5,12 @@ integrated as a first-order system in (u, F) with F = r^(n-1) |u'|^(p-2) u'.
 The gradient is recovered as u' = sign(F) (|F|/r^(n-1))^(1/(p-1)), which
 stays well-defined where u' vanishes and p > 2, unlike inverting |u'|^(p-2).
 
-The caller gives the source s(r, u) of F' = r^(n-1) s(r, u); the power
-r^(n-1) is computed once per stage and serves both u' and F'.
+The caller gives the source s(r, u) of F' = r^(n-1) s(r, u), and the
+origin value u0 and flux coefficient c (F = c r^n at leading order) of the
+profile.  Below SEED_RADIUS the profile is its startup series in r; the
+integration starts from the series there and runs to r = 1, so a
+`FluxTrajectory` is the profile on all of [0, 1].  The power r^(n-1) is
+computed once per stage and serves both u' and F'.
 
 The stepper is the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
 local extrapolation and Shampine's quartic continuous extension (Shampine
@@ -35,8 +39,8 @@ from .errors import IntegrationError
 from .mesh import check_dimension
 from .rootfind import _brent
 
-__all__ = ["FluxState", "FluxTrajectory", "series_seed", "integrate_flux_ode",
-           "grad_from_flux", "profile_evaluators", "step_quadrature"]
+__all__ = ["FluxState", "FluxTrajectory", "integrate_flux_ode",
+           "grad_from_flux", "step_quadrature"]
 
 # Radius where every outward integration leaves the startup series.
 SEED_RADIUS = 1e-4
@@ -59,37 +63,15 @@ def grad_from_flux(flux, radius, p: float, n: int):
     return np.sign(flux) * mag
 
 
-def _series_amplitude(p: float, flux_coeff: float) -> float:
-    """sign(c) |c|^(1/(p-1)): u' = amp r^(1/(p-1)) where the flux is c r^n."""
-    return math.copysign(abs(flux_coeff) ** (1.0 / (p - 1.0)), flux_coeff)
-
-
-def series_seed(p: float, n: int, u0: float, r_seed: float,
-                flux_coeff: float) -> FluxState:
-    """Leading-order startup state for profiles bounded at the origin.
-
-    Near r = 0 the flux of a bounded profile is c r^n at leading order,
-    c = flux_coeff (u0^(p-1)/n for the Steklov equation), so
-    u(r) = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)) + o(r^(p/(p-1))).
-    """
-    if p <= 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    check_dimension(n)
-    if not 0.0 < r_seed <= 1e-2:
-        raise ValueError(f"seed radius must lie in (0, 1e-2], got {r_seed}")
-    if u0 <= 0.0:
-        raise ValueError(f"origin value must be positive, got {u0}")
-    amp = _series_amplitude(p, flux_coeff)
-    value = u0 + amp * (p - 1.0) / p * r_seed ** (p / (p - 1.0))
-    return FluxState(radius=r_seed, value=value, flux=flux_coeff * r_seed ** n)
-
-
 @dataclass
 class FluxTrajectory:
-    """Accepted steps of a flux-form integration plus dense evaluators."""
+    """A profile on [0, 1]: the startup series below SEED_RADIUS = rs[0],
+    the accepted steps and their quartic dense output above it."""
 
     p: float
     n: int
+    u0: float   # origin value
+    amp: float  # sign(c) |c|^(1/(p-1)): u' = amp r^(1/(p-1)) below rs[0]
     rs: np.ndarray
     values: np.ndarray
     fluxes: np.ndarray
@@ -125,15 +107,18 @@ class FluxTrajectory:
                                                              + x * c[:, 3])))
 
     def value_at(self, r):
-        return self._states(r)[0]
-
-    def flux_at(self, r):
-        return self._states(r)[1]
+        r = np.asarray(r, dtype=float)
+        series = (self.u0 + self.amp * (self.p - 1.0) / self.p
+                  * r ** (1.0 + 1.0 / (self.p - 1.0)))
+        dense = self._states(np.maximum(r, SEED_RADIUS))[0]
+        return np.where(r < SEED_RADIUS, series, dense)
 
     def grad_at(self, r):
         r = np.asarray(r, dtype=float)
-        return grad_from_flux(self.flux_at(r), np.clip(r, self.rs[0], None),
-                              self.p, self.n)
+        series = self.amp * r ** (1.0 / (self.p - 1.0))
+        above = np.maximum(r, SEED_RADIUS)
+        dense = grad_from_flux(self._states(above)[1], above, self.p, self.n)
+        return np.where(r < SEED_RADIUS, series, dense)
 
 
 # Dormand-Prince 5(4): stage nodes, stage weights, fifth-order weights, and
@@ -345,12 +330,17 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
                     stages=ks)
 
 
-def integrate_flux_ode(source: Callable[[float, float], float],
-                       seed: FluxState, r_end: float = 1.0, *,
-                       p: float, n: int, tol: float = 1e-10,
-                       value_cap: float | None = None,
+def integrate_flux_ode(source: Callable[[float, float], float], u0: float,
+                       flux_coeff: float, *, p: float, n: int,
+                       tol: float = 1e-10, value_cap: float | None = None,
                        stop_on_nonpositive: bool = False) -> FluxTrajectory:
-    """Integrate (u, F) from the seed radius to r_end.
+    """Integrate the profile with origin value u0 from SEED_RADIUS to r = 1.
+
+    Near r = 0 the flux of a bounded profile is c r^n at leading order,
+    c = flux_coeff (u0^(p-1)/n for the Steklov equation), so
+    u(r) = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)) + o(r^(p/(p-1))).
+    The run starts from that series at SEED_RADIUS; the returned trajectory
+    evaluates it below.  A non-finite flux_coeff raises IntegrationError.
 
     Parameters
     ----------
@@ -363,15 +353,20 @@ def integrate_flux_ode(source: Callable[[float, float], float],
         Terminate (status 'hit_zero') when u crosses zero from above; used by
         shooting, where such a trial is classified rather than an error.
     """
-    if not seed.radius < r_end <= 1.0:
-        raise ValueError(f"need seed radius < r_end <= 1, got {seed.radius}, {r_end}")
+    if p <= 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    check_dimension(n)
+    if u0 <= 0.0:
+        raise ValueError(f"origin value must be positive, got {u0}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-
-    if not (math.isfinite(seed.value) and math.isfinite(seed.flux)):
+    amp = math.copysign(abs(flux_coeff) ** (1.0 / (p - 1.0)), flux_coeff)
+    value = u0 + amp * (p - 1.0) / p * SEED_RADIUS ** (p / (p - 1.0))
+    flux = flux_coeff * SEED_RADIUS ** n
+    if not (math.isfinite(value) and math.isfinite(flux)):
         raise IntegrationError(
-            f"seed state ({seed.value:.6g}, {seed.flux:.6g}) at "
-            f"r={seed.radius:.6g} is not finite", last_radius=seed.radius)
+            f"seed state ({value:.6g}, {flux:.6g}) at r={SEED_RADIUS:.6g} "
+            "is not finite", last_radius=SEED_RADIUS)
 
     inv_exp = 1.0 / (p - 1.0)
     nm1 = n - 1
@@ -387,44 +382,16 @@ def integrate_flux_ode(source: Callable[[float, float], float],
                 last_radius=r)
         return math.copysign((abs(flux) / rn) ** inv_exp, flux), df
 
-    sol = solve_ivp(rhs, float(seed.radius), float(r_end), float(seed.value),
-                    float(seed.flux), tol=tol, value_cap=value_cap,
+    sol = solve_ivp(rhs, SEED_RADIUS, 1.0, float(value), float(flux), tol=tol,
+                    value_cap=value_cap,
                     stop_on_nonpositive=stop_on_nonpositive)
-    return FluxTrajectory(p=p, n=n, rs=sol.t, values=sol.y[0],
-                          fluxes=sol.y[1], status=sol.status,
+    return FluxTrajectory(p=p, n=n, u0=u0, amp=amp, rs=sol.t,
+                          values=sol.y[0], fluxes=sol.y[1], status=sol.status,
                           _steps=sol.steps, _stages=sol.stages)
 
 
-def profile_evaluators(traj: FluxTrajectory, u0: float, flux_coeff: float):
-    """Evaluators for (u, u') on all of [0, 1], splicing the startup series.
-
-    Below the seed radius the trajectory has no data; there the flux behaves
-    like flux_coeff * r^n, so u' = sign(c) |c|^(1/(p-1)) r^(1/(p-1)) and
-    u = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)).  Above it the dense
-    interpolant is used.  Returns (value_fn, grad_fn), each vectorized.
-    """
-    p = traj.p
-    r0 = float(traj.rs[0])
-    inv = 1.0 / (p - 1.0)
-    amp = _series_amplitude(p, flux_coeff)
-
-    def value_fn(r):
-        r = np.asarray(r, dtype=float)
-        series = u0 + amp * (p - 1.0) / p * r ** (1.0 + inv)
-        dense_vals = traj.value_at(np.maximum(r, r0))
-        return np.where(r < r0, series, dense_vals)
-
-    def grad_fn(r):
-        r = np.asarray(r, dtype=float)
-        series = amp * r ** inv
-        dense_grads = traj.grad_at(np.maximum(r, r0))
-        return np.where(r < r0, series, dense_grads)
-
-    return value_fn, grad_fn
-
-
 def step_quadrature(traj: FluxTrajectory):
-    """Nodes and weights of a rule for integrals of a profile over [0, r_end].
+    """Nodes and weights of a rule for integrals of a profile over [0, rs[-1]].
 
     A 4-point Gauss-Legendre rule on [0, rs[0]], where the startup series
     gives the profile, and on every accepted step, where the quartic dense

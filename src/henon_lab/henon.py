@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, IntegrationError
 from .flux_ode import (SEED_RADIUS, grad_from_flux, integrate_flux_ode,
-                       profile_evaluators, series_seed, step_quadrature)
+                       step_quadrature)
 from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
 from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
@@ -147,12 +147,11 @@ def _source_factory(p: float, q: float, alpha: float):
 
 
 def _trial(n, p, q, alpha, d, tol):
-    # d^(q-1) can overflow far above the root; the seed then comes out
-    # non-finite and the integrator raises IntegrationError on it.
+    # d^(q-1) can overflow far above the root; the coefficient then comes
+    # out non-finite and the integrator raises IntegrationError on it.
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _flux_coeff(n, p, q, alpha, np.float64(d))
-    seed = series_seed(p, n, d, SEED_RADIUS, coeff)
-    return integrate_flux_ode(_source_factory(p, q, alpha), seed, 1.0,
+    return integrate_flux_ode(_source_factory(p, q, alpha), d, coeff,
                               p=p, n=n, tol=tol,
                               value_cap=_CAP_FACTOR * max(1.0, d),
                               stop_on_nonpositive=True)
@@ -234,7 +233,8 @@ def _bracket(miss, lo: float, hi: float, f_lo: float, f_hi: float):
 
 @dataclass
 class HenonSolution:
-    """Ground-state profile with its multiplier and normalized version."""
+    """Ground state: mu, the origin value and norm of the multiplier-free
+    profile w, and the unit-norm profile v = w / ||w||."""
 
     n: int
     p: float
@@ -246,30 +246,27 @@ class HenonSolution:
     # Scale-free Neumann residual |F(1)| / ||w||^(p-1) = |v'(1)|^(p-1): the
     # boundary flux of v left by the root solve.
     shoot_res: float
-    w: RadialFunction
-    v: RadialFunction  # w / ||w||
+    v: RadialFunction  # w / ||w||, tabulated on grid; w is norm_w * v
     grid: RadialGrid
     diagnostics: dict = field(default_factory=dict)
 
 
 def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
-    """Package the completed trial `traj` from origin value d0 as w.
+    """Package the completed trial `traj` from origin value d0 as v.
 
     N = int (|w'|^p + w^p) r^(n-1) and D = int r^(alpha+n-1) w^q are
     integrated by `step_quadrature` on the trial's own steps; the grid only
-    tabulates w and v.  mu = ||w||^(p(q-p)/q) = (|S| N)^((q-p)/q) and the
+    tabulates v.  mu = ||w||^(p(q-p)/q) = (|S| N)^((q-p)/q) and the
     quotient |S|^(1-p/q) N / D^(p/q) are the same number for the exact
     profile, since Q(w) = mu rests on the weak form; their relative gap,
     "mu_quotient_rel_err", checks quadrature and the boundary residual at
     once.  A gap above MU_QUOTIENT_TOL, or one that is not finite, raises
     ConvergenceError.
     """
-    value_fn, grad_fn = profile_evaluators(
-        traj, d0, _flux_coeff(n, p, q, alpha, d0))
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
-    wq = np.maximum(value_fn(rq), 0.0)
-    dwq = grad_fn(rq)
+    wq = np.maximum(traj.value_at(rq), 0.0)
+    dwq = traj.grad_at(rq)
     # An overflowing or underflowing profile is caught by the finiteness
     # check below; the sums stay numpy floats, so D = 0 gives inf, not an
     # exception.
@@ -289,19 +286,17 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
             f"profile at origin value {d0:.8g} gave mu = {mu:.10g} with "
             f"quotient error {rel_err:.3g}, above {MU_QUOTIENT_TOL:g}")
 
-    w = RadialFunction(grid, np.asarray(value_fn(grid.nodes), dtype=float),
-                       np.asarray(grad_fn(grid.nodes), dtype=float),
-                       _value_fn=value_fn, _deriv_fn=grad_fn)
     inv = 1.0 / norm_w
-    v = RadialFunction(grid, inv * w.values, inv * w.derivatives,
-                       _value_fn=lambda r: inv * np.asarray(value_fn(r)),
-                       _deriv_fn=lambda r: inv * np.asarray(grad_fn(r)))
+    v = RadialFunction(grid, inv * traj.value_at(grid.nodes),
+                       inv * traj.grad_at(grid.nodes),
+                       _value_fn=lambda r: inv * traj.value_at(r),
+                       _deriv_fn=lambda r: inv * traj.grad_at(r))
     diagnostics = dict(diagnostics)
     diagnostics["mu_quotient_rel_err"] = float(rel_err)
     shoot_res = abs(traj.end.flux) * inv ** (p - 1.0)
     return HenonSolution(n=n, p=p, q=q, alpha=alpha, d0=float(d0),
                          mu=float(mu), norm_w=float(norm_w),
-                         shoot_res=float(shoot_res), w=w, v=v,
+                         shoot_res=float(shoot_res), v=v,
                          grid=grid, diagnostics=diagnostics)
 
 
@@ -343,7 +338,7 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     paths the profile is the full-tolerance trial at Brent's root, and
     "trials" counts every integration.  mu, d0 and norm_w come from that
     trial alone (`_finalize`); `grid`, or a grid at `refinement`, only
-    tabulates w and v.
+    tabulates v.
     """
     validate_parameters(n, p, q, alpha)
     if grid is None:

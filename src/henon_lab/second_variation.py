@@ -18,8 +18,9 @@ a coarse Sturm-sequence bracket, only narrow enough that inverse iteration
 shifted below it converges at rate 1/16; shifted inverse iteration, which
 stops on a backward error measured against |A||h|; and two Sturm counts
 at rho -+ 1e-7 max(1, |rho|) that certify the Rayleigh quotient rho as the
-smallest eigenvalue.  A missed backward error or a failed certificate
-raises ConvergenceError.  Every step uses the LDL^T sweep of A - s B
+smallest eigenvalue.  A refused certificate restarts inverse iteration
+once from a linear start vector; a missed backward error or a second
+refusal raises ConvergenceError.  Every step uses the LDL^T sweep of A - s B
 (`mesh.ldlt`), on numpy alone.  The dense solve `dense_min_eig`, which
 loads scipy, is a reference for tests only.
 """
@@ -125,8 +126,10 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     refactored, as in LAPACK's dstein.  Two Sturm counts certify the
     Rayleigh quotient rho: none below rho - delta and at least one below
     rho + delta, delta = 1e-7 max(1, |rho|), prove |sigma - rho| <= delta.
-    Missing the backward-error test in 30 steps (a NaN never meets it), or
-    failing the certificate, raises ConvergenceError.
+    Inverse iteration starts from h = ones; a refused certificate restarts
+    it once from the linear probe.  Missing the backward-error test in 30
+    steps (a NaN never meets it), or a second refused certificate, raises
+    ConvergenceError.  `iterations` counts the steps of both runs.
     """
     size = a_form.size
     if size != b_form.size:
@@ -181,44 +184,53 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     abs_a = TridiagForm(np.abs(a_form.diag), np.abs(a_form.off))
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
-    h = np.ones(size) / math.sqrt(b_form.quad_form(np.ones(size)))
-    rho, backward, previous, pivots = math.nan, np.inf, np.inf, None
-    for iterations in range(1, 31):
-        if pivots is None:  # factor once per shift
-            pivots, multipliers = ldlt(a_form.diag - shift * b_form.diag,
-                                       a_form.off - shift * b_form.off)
-            if ZERO_PIVOT in pivots:
-                pivots = None
-                shift -= width + 1e-14 * max(1.0, abs(shift))
-                continue
-        y = solve_banded(pivots, multipliers, b_form.matvec(h))
-        h = y / math.sqrt(b_form.quad_form(y))
-        rho = a_form.quad_form(h)
-        # Measure the residual against |A||h| (Oettli-Prager), not ||A h||:
-        # A's coefficients span many orders of magnitude where the profile
-        # concentrates, so A h cancels and a normwise residual stays far
-        # above eps even for a dense solver's eigenvector.
-        resid = a_form.matvec(h) - rho * b_form.matvec(h)
-        abs_h = np.abs(h)
-        magnitude = abs_a.matvec(abs_h) + abs(rho) * abs_b.matvec(abs_h)
-        # (A h = 0 with rho = 0 is exact: the floor makes it 0, not 0/0.)
-        backward = float(np.linalg.norm(resid) / max(
-            np.linalg.norm(magnitude), np.finfo(float).tiny))
-        # Meeting the test does not mean the iterate has settled: at
-        # (5, 2.998, 3.19, 380), ell = 1, N = 2561, the step that met it
-        # left a normwise residual of 1.2e-8 and the next one 3e-13.  So,
-        # like dstein's extra steps, go on while a step still halves it.
-        if backward <= tol and backward >= 0.5 * previous:
+    pivots, iterations = None, 0
+    # h = ones is B-orthogonal to the odd ground mode of a mirror-symmetric
+    # pencil, so a refused certificate restarts from the linear probe.
+    for start in (np.ones(size), nodes_probe):
+        h = start / math.sqrt(b_form.quad_form(start))
+        rho, backward, previous = math.nan, np.inf, np.inf
+        for steps in range(1, 31):
+            if pivots is None:  # factor once per shift
+                pivots, multipliers = ldlt(a_form.diag - shift * b_form.diag,
+                                           a_form.off - shift * b_form.off)
+                if ZERO_PIVOT in pivots:
+                    pivots = None
+                    shift -= width + 1e-14 * max(1.0, abs(shift))
+                    continue
+            y = solve_banded(pivots, multipliers, b_form.matvec(h))
+            h = y / math.sqrt(b_form.quad_form(y))
+            rho = a_form.quad_form(h)
+            # Measure the residual against |A||h| (Oettli-Prager), not
+            # ||A h||: A's coefficients span many orders of magnitude where
+            # the profile concentrates, so A h cancels and a normwise
+            # residual stays far above eps even for a dense solver's
+            # eigenvector.
+            resid = a_form.matvec(h) - rho * b_form.matvec(h)
+            abs_h = np.abs(h)
+            magnitude = abs_a.matvec(abs_h) + abs(rho) * abs_b.matvec(abs_h)
+            # (A h = 0 with rho = 0 is exact: the floor makes it 0, not 0/0.)
+            backward = float(np.linalg.norm(resid) / max(
+                np.linalg.norm(magnitude), np.finfo(float).tiny))
+            # Meeting the test does not mean the iterate has settled: at
+            # (5, 2.998, 3.19, 380), ell = 1, N = 2561, the step that met
+            # it left a normwise residual of 1.2e-8 and the next one 3e-13.
+            # So, like dstein's extra steps, go on while a step still
+            # halves it.
+            if backward <= tol and backward >= 0.5 * previous:
+                break
+            previous = backward
+        iterations += steps
+        if not backward <= tol:  # NaN fails the test
+            raise ConvergenceError(
+                f"inverse iteration ended at backward error {backward:.3g} "
+                f"(target {tol:.3g}) and quotient {rho!r} after {steps} "
+                f"steps")
+        delta = 1e-7 * max(1.0, abs(rho))
+        below, upto = count(rho - delta), count(rho + delta)
+        if below == 0 and upto >= 1:
             break
-        previous = backward
-    if not backward <= tol:  # NaN fails the test
-        raise ConvergenceError(
-            f"inverse iteration ended at backward error {backward:.3g} "
-            f"(target {tol:.3g}) and quotient {rho!r} after {iterations} "
-            f"steps")
-    delta = 1e-7 * max(1.0, abs(rho))
-    below, upto = count(rho - delta), count(rho + delta)
-    if below != 0 or upto < 1:
+    else:
         raise ConvergenceError(
             f"inverse iteration met backward error {backward:.3g} at "
             f"quotient {rho!r}, but Sturm counts put {below} eigenvalues "

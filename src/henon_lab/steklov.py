@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
-                       profile_evaluators, series_seed, step_quadrature)
+                       step_quadrature)
 from .mesh import (RadialFunction, RadialGrid, TridiagForm, build_grid,
                    check_dimension, ldlt, ldlt_solve)
 from .special import bessel_i, bessel_i_prime, surface_measure
@@ -35,13 +35,11 @@ def _validate(n: int, p: float) -> None:
 
 
 def _shoot(n: int, p: float, tol: float):
-    # Homogeneity: the origin value is arbitrary, 1.0 keeps magnitudes tame.
-    seed = series_seed(p, n, 1.0, SEED_RADIUS, 1.0 / n)
-
     def source(r, u):
         return u ** (p - 1.0)
 
-    return integrate_flux_ode(source, seed, 1.0, p=p, n=n, tol=tol)
+    # Homogeneity: the origin value is arbitrary, 1.0 keeps magnitudes tame.
+    return integrate_flux_ode(source, 1.0, 1.0 / n, p=p, n=n, tol=tol)
 
 
 def _boundary_quotient(end: FluxState, n: int, p: float, tol: float) -> float:
@@ -95,18 +93,17 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
 
     traj = _shoot(n, p, tol)
     lam = _boundary_quotient(traj.end, n, p, tol)
-    value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
-    norm_p = meas * float(np.dot(weights, (np.abs(grad_fn(rq)) ** p
-                                           + np.abs(value_fn(rq)) ** p)
+    norm_p = meas * float(np.dot(weights, (np.abs(traj.grad_at(rq)) ** p
+                                           + np.abs(traj.value_at(rq)) ** p)
                                  * rq ** (n - 1)))
     scale = norm_p ** (-1.0 / p)
 
-    phi = RadialFunction(grid, scale * value_fn(grid.nodes),
-                         scale * grad_fn(grid.nodes),
-                         _value_fn=lambda r: scale * value_fn(r),
-                         _deriv_fn=lambda r: scale * grad_fn(r))
+    phi = RadialFunction(grid, scale * traj.value_at(grid.nodes),
+                         scale * traj.grad_at(grid.nodes),
+                         _value_fn=lambda r: scale * traj.value_at(r),
+                         _deriv_fn=lambda r: scale * traj.grad_at(r))
     phi1_exact = (lam * meas) ** (-1.0 / p)
     diagnostics = {
         "ode_steps": int(traj.rs.size),

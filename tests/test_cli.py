@@ -311,6 +311,26 @@ def test_non_finite_input_is_rejected_by_name(argv, call, name):
     assert names_bad_value(err["message"], name), err["message"]
 
 
+NEGATIVE_EXPONENT_FORM = [
+    ("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "-1e-05"),
+    ("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "-inf"),
+    ("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "-1E+3"),
+    ("steklov", "--n", "4", "--p", "-2e0"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_EXPONENT_FORM, ids=" ".join)
+def test_negative_value_in_exponent_form_is_a_value(argv):
+    # argparse alone reads -1e-05 and -inf as flags and exits with a usage
+    # message; like -0.5 they must reach the range check as values.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    assert code == 2
+    assert json.loads(out.getvalue())["error"]["type"] == "ValueError"
+
+
 def test_unrepresentable_origin_value_is_a_solver_error(tmp_path):
     # At q - p = 0.001 the predicted origin value is about e^2851;
     # `radial` exits 1 there (test_exit_codes), and a sweep goes on.
@@ -350,8 +370,9 @@ def radial_args(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(radial_args())
 def test_radial_prints_one_record_and_a_known_exit_code(args):
-    # `--p=-1e+20` rather than `--p -1e+20`, which argparse reads as a flag.
-    argv = ["radial"] + [f"--{key}={value!r}" for key, value in args.items()]
+    argv = ["radial"]
+    for key, value in args.items():
+        argv += [f"--{key}", repr(value)]
     out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -8,9 +8,8 @@ import pytest
 
 from henon_lab import flux_ode, henon
 from henon_lab.errors import IntegrationError
-from henon_lab.flux_ode import (SEED_RADIUS, FluxState, grad_from_flux,
-                                integrate_flux_ode, profile_evaluators,
-                                series_seed)
+from henon_lab.flux_ode import (SEED_RADIUS, grad_from_flux,
+                                integrate_flux_ode)
 
 
 def _linear(r, u):
@@ -20,13 +19,20 @@ def _linear(r, u):
 
 def test_seed_validation():
     with pytest.raises(ValueError, match="p must exceed 1"):
-        series_seed(1.0, 3, 1.0, 1e-4, 1.0 / 3)
+        integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=1.0, n=3)
     with pytest.raises(ValueError, match="n must be"):
-        series_seed(2.0, 2, 1.0, 1e-4, 1.0 / 2)
-    with pytest.raises(ValueError, match="seed radius"):
-        series_seed(2.0, 3, 1.0, 0.1, 1.0 / 3)
+        integrate_flux_ode(_linear, 1.0, 1.0 / 2, p=2.0, n=2)
     with pytest.raises(ValueError, match="positive"):
-        series_seed(2.0, 3, -1.0, 1e-4, 1.0 / 3)
+        integrate_flux_ode(_linear, -1.0, 1.0 / 3, p=2.0, n=3)
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=0.0)
+
+
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
+def test_non_finite_flux_coefficient_is_an_integration_error(coeff):
+    # henon._trial passes the coefficient on when d^(q-1) overflows.
+    with pytest.raises(IntegrationError, match="not finite"):
+        integrate_flux_ode(_linear, 1.0, coeff, p=2.5, n=3)
 
 
 def test_grad_from_flux_roundtrip():
@@ -41,8 +47,7 @@ def test_grad_from_flux_roundtrip():
 def test_sinh_profile_n3_p2():
     # (r^2 u')' = r^2 u with u bounded at 0 has u = u0 sinh(r)/r, hence
     # u(1) = u0 sinh(1) and F(1) = r^2 u'|_1 = u0 (cosh 1 - sinh 1).
-    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
     assert traj.status == "completed"
     end = traj.end
     assert abs(end.value - 1.1752011936438014) < 1e-9
@@ -50,8 +55,7 @@ def test_sinh_profile_n3_p2():
 
 
 def test_dense_output_tracks_solution():
-    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
     r = np.linspace(0.05, 1.0, 40)
     assert np.max(np.abs(traj.value_at(r) - np.sinh(r) / r)) < 1e-9
     exact_grad = (np.cosh(r) * r - np.sinh(r)) / r ** 2
@@ -62,8 +66,7 @@ def test_dense_output_is_built_once_on_first_evaluation():
     # A run keeps its steps as recorded; the quartic coefficients are built
     # on the first query, replace the stage derivatives, and serve every
     # later query.
-    seed = series_seed(2.0, 3, 1.0, 1e-5, 1.0 / 3)
-    traj = integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=1e-8)
+    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-8)
     assert traj._coef is None
     assert len(traj._steps) == len(traj._stages) == traj.rs.size - 1
     first = traj.value_at(0.5)
@@ -77,8 +80,7 @@ def test_value_cap_terminates():
     def source(r, u):
         return 50.0 * u
 
-    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
-    traj = integrate_flux_ode(source, seed, p=2.0, n=3, tol=1e-9,
+    traj = integrate_flux_ode(source, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-9,
                               value_cap=10.0)
     assert traj.status == "capped"
     assert abs(traj.end.value) <= 10.0 * (1.0 + 1e-8)
@@ -90,26 +92,17 @@ def test_zero_crossing_terminates():
     def source(r, u):
         return -200.0
 
-    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
-    traj = integrate_flux_ode(source, seed, p=2.0, n=3, tol=1e-9,
+    traj = integrate_flux_ode(source, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-9,
                               stop_on_nonpositive=True)
     assert traj.status == "hit_zero"
     assert abs(traj.end.value) < 1e-8
 
 
-def test_seed_window_validation():
-    seed = series_seed(2.0, 3, 1.0, 1e-4, 1.0 / 3)
-    with pytest.raises(ValueError, match="seed radius"):
-        integrate_flux_ode(_linear, seed, r_end=1e-5, p=2.0, n=3)
-    with pytest.raises(ValueError, match="tolerance"):
-        integrate_flux_ode(_linear, seed, p=2.0, n=3, tol=0.0)
-
-
-def test_profile_evaluators_splice_below_seed():
+def test_trajectory_splices_the_series_below_seed():
     p, n = 2.5, 4
-    seed = series_seed(p, n, 1.0, 1e-4, 1.0 / n)
-    traj = integrate_flux_ode(_linear, seed, p=p, n=n, tol=1e-10)
-    value_fn, grad_fn = profile_evaluators(traj, 1.0, 1.0 / n)
+    traj = integrate_flux_ode(_linear, 1.0, 1.0 / n, p=p, n=n, tol=1e-10)
+    assert traj.rs[0] == SEED_RADIUS and traj.rs[-1] == 1.0
+    value_fn, grad_fn = traj.value_at, traj.grad_at
     r = np.array([0.0, 1e-6, 5e-5, 2e-4, 0.5, 1.0])
     vals = value_fn(r)
     assert vals[0] == 1.0
@@ -122,9 +115,10 @@ def test_profile_evaluators_splice_below_seed():
     assert abs(grad_fn(5e-5) - expect) / expect < 1e-10
 
 
-def _scipy_rk45(source, seed, p, n, tol, value_cap=None, stop=False):
-    """The same integration through scipy's solve_ivp (RK45), events and
-    all, as the package ran it before it had its own stepper."""
+def _scipy_rk45(source, traj, p, n, tol, value_cap=None, stop=False):
+    """The integration of `traj` through scipy's solve_ivp (RK45), from its
+    first state, events and all, as the package ran it before it had its
+    own stepper."""
     from scipy.integrate import solve_ivp
 
     inv_exp = 1.0 / (p - 1.0)
@@ -146,7 +140,7 @@ def _scipy_rk45(source, seed, p, n, tol, value_cap=None, stop=False):
         zero.terminal = True
         zero.direction = -1
         events.append(zero)
-    sol = solve_ivp(rhs, (seed.radius, 1.0), (seed.value, seed.flux),
+    sol = solve_ivp(rhs, (traj.rs[0], 1.0), (traj.values[0], traj.fluxes[0]),
                     method="RK45", rtol=tol, atol=tol, dense_output=True,
                     events=events or None)
     status = "completed"
@@ -158,14 +152,12 @@ def _scipy_rk45(source, seed, p, n, tol, value_cap=None, stop=False):
 
 def _henon_case(n, p, q, alpha, center_factor):
     d = center_factor * henon._initial_center(n, p, q, alpha)
-    seed = series_seed(p, n, d, SEED_RADIUS,
-                       henon._flux_coeff(n, p, q, alpha, d))
-    return henon._source_factory(p, q, alpha), seed, d
+    return (henon._source_factory(p, q, alpha), d,
+            henon._flux_coeff(n, p, q, alpha, d))
 
 
 def _steklov_case():
-    seed = series_seed(2.5, 4, 1.0, SEED_RADIUS, 1.0 / 4)
-    return (lambda r, u: u ** 1.5), seed
+    return (lambda r, u: u ** 1.5), 1.0, 1.0 / 4
 
 
 @pytest.mark.parametrize("case", ["steklov", "hit_zero", "capped"])
@@ -176,13 +168,13 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
     # and over 234 Henon trials step control amplified that rounding to
     # 5e-11 relative at worst, without changing a single step count.
     if case == "steklov":
-        (source, seed), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
+        (source, d, coeff), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
             1e-10, None, False
     elif case == "hit_zero":
-        source, seed, d = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
+        source, d, coeff = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
         p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6 * d, True
     else:
-        source, seed, d = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
+        source, d, coeff = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
         p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2 * d, True
     runs = []
     stepper = flux_ode.solve_ivp
@@ -192,9 +184,9 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(flux_ode, "solve_ivp", spy)
-    traj = integrate_flux_ode(source, seed, p=p, n=n, tol=tol,
+    traj = integrate_flux_ode(source, d, coeff, p=p, n=n, tol=tol,
                               value_cap=cap, stop_on_nonpositive=stop)
-    ref, status = _scipy_rk45(source, seed, p, n, tol, cap, stop)
+    ref, status = _scipy_rk45(source, traj, p, n, tol, cap, stop)
     assert traj.status == status == ("completed" if case == "steklov"
                                      else case)
     assert traj.rs.size == ref.t.size
@@ -206,7 +198,7 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
     end = np.array([traj.end.value, traj.end.flux])
     assert np.all(np.abs(end - ref.y[:, -1]) <= 1e-12 * scale)
     r = np.linspace(traj.rs[0], traj.rs[-1], 1000)
-    dense = np.stack([traj.value_at(r), traj.flux_at(r)])
+    dense = traj._states(r)
     assert np.all(np.abs(dense - ref.sol(r)) <= 1e-12 * scale[:, None])
 
 
@@ -240,7 +232,8 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
 
 
 def test_complex_rhs_is_an_integration_error():
-    # u falls through zero, and u ** 1.5 of a negative float is complex.
+    # The steep startup series u = 1 - 500 r^2 falls through zero near
+    # r = 0.045, and u ** 1.5 of a negative float is complex.
     with pytest.raises(IntegrationError, match="complex|j\\)"):
-        integrate_flux_ode(lambda r, u: u ** 1.5 / r ** 2,
-                           FluxState(0.1, 1.0, -1.0), p=2.0, n=3)
+        integrate_flux_ode(lambda r, u: u ** 1.5 / r ** 2, 1.0, -1e3,
+                           p=2.0, n=3)

@@ -84,7 +84,7 @@ def test_zero_alpha_constant_profile():
     sol = solve_henon(n, p, q, 0.0)
     assert abs(sol.d0 - 1.0) <= 1e-8
     r = np.linspace(0.0, 1.0, 200)
-    assert np.max(np.abs(sol.w(r) - 1.0)) <= 1e-8
+    assert np.max(np.abs(sol.norm_w * sol.v(r) - 1.0)) <= 1e-8
     meas = surface_measure(n)
     want_mu = (meas / n) ** ((q - p) / q)
     assert abs(sol.mu - want_mu) <= 1e-8 * want_mu
@@ -93,10 +93,10 @@ def test_zero_alpha_constant_profile():
 def test_profile_shape(ground_state):
     sol = ground_state(4, 2.0, 3.0, 50.0)
     r = np.linspace(0.0, 1.0, 400)
-    vals = sol.w(r)
+    vals = sol.norm_w * sol.v(r)  # w
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) > 0.0)  # increasing toward the boundary
-    assert abs(sol.w.origin_value - sol.d0) <= 1e-10 * sol.d0
+    assert abs(sol.norm_w * sol.v.origin_value - sol.d0) <= 1e-10 * sol.d0
 
 
 def test_bracket_steps_outward_until_the_sign_changes():

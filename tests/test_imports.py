@@ -2,10 +2,14 @@
 
 `import henon_lab` and every subcommand run on numpy alone.  The one
 exception imports scipy inside a function body, on first use:
-`second_variation.eigh`, the dense reference solve of the tests.
+`second_variation.eigh`, the dense reference solve of the tests.  So numpy
+is the only runtime dependency in `pyproject.toml`.
 """
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 import henon_lab
 
@@ -46,3 +50,14 @@ def test_scipy_imports_only_where_allowed():
                 f"{path.name}:{line} imports scipy {where}")
             seen.add((path.name, function))
     assert seen == ALLOWED
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", spec).group()
+             for spec in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(spec.startswith("scipy")
+               for spec in project["optional-dependencies"]["test"])

@@ -9,7 +9,7 @@ import pytest
 
 from henon_lab import cli, second_variation
 from henon_lab.errors import ConvergenceError
-from henon_lab.mesh import build_grid
+from henon_lab.mesh import TridiagForm, build_grid
 from henon_lab.second_variation import (dense_min_eig,
                                         eigenprofile_properties,
                                         eigenprofile_steepness,
@@ -270,6 +270,21 @@ def test_certificate_refuses_the_second_eigenvalue(ground_state,
         pencil_min_eig(*forms)
 
     assert "Sturm counts" in _cli_solver_error()["message"]
+
+
+@pytest.mark.parametrize("a, e, b", [(-2.0, 0.25, 1.0), (-2.0, 1e-3, 1e3),
+                                     (-0.5, 0.25, 4.0), (1.0, 1.0, 4.0),
+                                     (100.0, 1.0, 0.1), (-50.0, 0.25, 0.1)])
+def test_mirror_symmetric_pencil_ends_on_the_odd_ground_mode(a, e, b):
+    # A = [[a, e], [e, a]], B = b I: the ground mode (1, -1) has sigma
+    # (a - e) / b and is B-orthogonal to the start h = ones, so the first
+    # run ends on sigma_2 = (a + e) / b, and the restart finds sigma.
+    sigma, h, _ = pencil_min_eig(TridiagForm(np.array([a, a]), np.array([e])),
+                                 TridiagForm(np.array([b, b]),
+                                             np.array([0.0])))
+    want = (a - e) / b
+    assert abs(sigma - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(h[0] + h[1]) <= 1e-12 * abs(h[1])
 
 
 def test_non_finite_iterate_is_a_solver_error(ground_state, monkeypatch):
