@@ -28,6 +28,16 @@ def test_seed_validation():
         integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=0.0)
 
 
+def test_seed_window_validation():
+    # The run covers [SEED_RADIUS, 1]; a non-positive tolerance is refused.
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=tol)
+    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3)
+    assert traj.status == "completed"
+    assert traj.rs[0] == SEED_RADIUS and traj.end.radius == 1.0
+
+
 @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
 def test_non_finite_flux_coefficient_is_an_integration_error(coeff):
     # henon._trial passes the coefficient on when d^(q-1) overflows.
