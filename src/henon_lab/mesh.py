@@ -18,7 +18,7 @@ __all__ = [
     "RadialFunction",
     "TridiagForm",
     "assemble_forms",
-    "ldlt", "ldlt_solve",
+    "ldlt", "negative_pivots", "ldlt_solve",
 ]
 
 MAX_REFINEMENT = 12
@@ -251,7 +251,9 @@ def ldlt(diag: np.ndarray, off: np.ndarray) -> tuple[list, list]:
     """Pivots (D) and multipliers (L) of the symmetric tridiagonal matrix
     (diag, off) = L D L^T, as float lists.  No pivoting: the negative pivots
     count the negative eigenvalues (Sylvester).  A zero pivot becomes
-    ZERO_PIVOT, so a shift that grazes an eigenvalue counts it as passed."""
+    ZERO_PIVOT, so a shift that grazes an eigenvalue counts it as passed.
+    The pivot recurrence is the one `negative_pivots` runs; a caller that
+    needs only the count should call that, which keeps no lists."""
     d, e = diag.tolist(), off.tolist()
     piv = d[0] if d[0] != 0.0 else ZERO_PIVOT
     pivots, multipliers = [piv], []
@@ -264,14 +266,39 @@ def ldlt(diag: np.ndarray, off: np.ndarray) -> tuple[list, list]:
     return pivots, multipliers
 
 
+def negative_pivots(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of negative pivots of `ldlt(diag, off)`, found without
+    storing them: the same recurrence d_i - e_{i-1}^2 / piv and the same
+    ZERO_PIVOT rule, so the same count bit for bit.  e^2 is one numpy
+    product, which rounds as the scalar e * e does."""
+    d = diag.tolist()
+    piv = d[0] if d[0] != 0.0 else ZERO_PIVOT
+    count = int(piv < 0.0)
+    for d_i, e2_i in zip(d[1:], (off * off).tolist()):
+        piv = d_i - e2_i / piv
+        if piv <= 0.0:  # NaN is not counted, as in `ldlt`
+            count += 1
+            if piv == 0.0:
+                piv = ZERO_PIVOT
+    return count
+
+
 def ldlt_solve(pivots: list, multipliers: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve L D L^T x = rhs with the factor returned by `ldlt`."""
+    """Solve L D L^T x = rhs with the factor returned by `ldlt`.
+
+    Forward substitution, then back substitution with the division by D
+    taken in the same step: x_i = y_i / d_i - l_i x_{i+1}, which rounds
+    exactly as dividing first and substituting after."""
     x = rhs.tolist()
-    for i, m in enumerate(multipliers):
-        x[i + 1] -= m * x[i]
-    x = [x_i / piv for x_i, piv in zip(x, pivots)]
+    y = x[0]
+    for i, m in enumerate(multipliers, 1):
+        y = x[i] - m * y
+        x[i] = y
+    y = x[-1] / pivots[-1]
+    x[-1] = y
     for i in range(len(multipliers) - 1, -1, -1):
-        x[i] -= multipliers[i] * x[i + 1]
+        y = x[i] / pivots[i] - multipliers[i] * y
+        x[i] = y
     return np.array(x)
 
 
@@ -288,14 +315,15 @@ def _first_cell_rule(grid: RadialGrid, exponent: float):
     return r, w * inv * t ** (inv - 1.0)
 
 
-def assemble_forms(grid: RadialGrid, stiffness_weight, mass_weight,
+def assemble_forms(grid: RadialGrid, weights: Callable,
                    first_cell_exponent: float | None = None) -> TridiagForm:
     """Assemble the P1 tridiagonal form of a(r) h'^2 + c(r) h^2 on [0, 1].
 
-    `stiffness_weight` and `mass_weight` are callables evaluated at the
-    quadrature abscissae; they must already include the r-power measure.
-    `first_cell_exponent` switches the cell at r = 0 to a substituted rule
-    (t = r^exponent) so degenerate gradient weights keep full order.
+    `weights(r)` returns the pair (a(r), c(r)) at the quadrature abscissae
+    r, so work the two share (a profile evaluation) is done once; both
+    must already include the r-power measure.  `first_cell_exponent`
+    switches the cell at r = 0 to a substituted rule (t = r^exponent) so
+    degenerate gradient weights keep full order.
     """
     xs = grid.quad_x
     ws = grid.quad_w
@@ -313,8 +341,9 @@ def assemble_forms(grid: RadialGrid, stiffness_weight, mass_weight,
     phi_r = (xs - left) / h
     phi_l = 1.0 - phi_r
 
-    a = np.asarray(stiffness_weight(xs), dtype=float) * ws
-    c = np.asarray(mass_weight(xs), dtype=float) * ws
+    a, c = weights(xs)
+    a = np.asarray(a, dtype=float) * ws
+    c = np.asarray(c, dtype=float) * ws
 
     diag = np.zeros(grid.num_nodes)
     off = np.zeros(grid.num_nodes - 1)

@@ -20,9 +20,14 @@ stops on a backward error measured against |A||h|; and two Sturm counts
 at rho -+ 1e-7 max(1, |rho|) that certify the Rayleigh quotient rho as the
 smallest eigenvalue.  A refused certificate restarts inverse iteration
 once from a linear start vector; a missed backward error or a second
-refusal raises ConvergenceError.  Every step uses the LDL^T sweep of A - s B
-(`mesh.ldlt`), on numpy alone.  The dense solve `dense_min_eig`, which
-loads scipy, is a reference for tests only.
+refusal raises ConvergenceError.  Every step sweeps the LDL^T pivot
+recurrence of A - s B on plain floats, on numpy alone: a Sturm count runs
+the count-only sweep `mesh.negative_pivots`, and inverse iteration factors
+with `mesh.ldlt` once per shift and solves with `mesh.ldlt_solve`.  Each
+step forms A h and B h once.  None of this changes the arithmetic of a
+plain factor-then-solve: every count, sigma and h is the same bits.  The
+dense solve `dense_min_eig`, which loads scipy, is a reference for tests
+only.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ import numpy as np
 from .errors import ConvergenceError, SolverError
 from .henon import HenonSolution, solve_henon
 from .mesh import (ZERO_PIVOT, RadialFunction, RadialGrid, TridiagForm,
-                   assemble_forms, ldlt)
+                   assemble_forms, ldlt, negative_pivots)
 from .mesh import ldlt_solve as solve_banded  # perfbench counts this name
 from .rootfind import brent_root, sign_change_pairs
 
@@ -62,29 +67,30 @@ def pencil_forms(grid: RadialGrid, *, p: float, n: int, q: float,
     ang = float(ell * (ell + n - 2))
     muf = mu ** (q / p)
 
-    def weight(r):
-        return np.abs(deriv_fn(r)) ** (p - 2.0)
-
-    def stiff_a(r):
-        return (p - 1.0) * weight(r) * r ** (n - 1)
-
-    def mass_a(r):
+    def weights_a(r):
         vals = np.abs(value_fn(r))
-        return (ang * weight(r) * r ** (n - 3.0)
-                + (p - 1.0) * vals ** (p - 2.0) * r ** (n - 1)
+        # At p = 2 both powers below are x**0.0, which is 1.0 for every x
+        # (NaN included), so the profile's slope is not evaluated at all.
+        if p == 2.0:
+            weight = power = 1.0
+        else:
+            weight = np.abs(deriv_fn(r)) ** (p - 2.0)
+            power = vals ** (p - 2.0)
+        volume = r ** (n - 1)
+        return ((p - 1.0) * weight * volume,
+                ang * weight * r ** (n - 3.0)
+                + (p - 1.0) * power * volume
                 - (q - 1.0) * muf * r ** (alpha + n - 1.0) * vals ** (q - 2.0))
 
-    def stiff_b(r):
-        return r ** (n - 1.0)
-
-    def mass_b(r):
-        return ang * r ** (n - 3.0) + r ** (n - 1.0)
+    def weights_b(r):
+        volume = r ** (n - 1.0)
+        return volume, ang * r ** (n - 3.0) + volume
 
     # (v')^(p-2) degenerates like r^((p-2)/(p-1)) at the origin for p > 2;
     # B's coefficients are smooth, so only A needs the substituted first cell.
     first_cell = p / (p - 1.0) if p > 2.0 else None
-    a_form = assemble_forms(grid, stiff_a, mass_a, first_cell_exponent=first_cell)
-    b_form = assemble_forms(grid, stiff_b, mass_b)
+    a_form = assemble_forms(grid, weights_a, first_cell_exponent=first_cell)
+    b_form = assemble_forms(grid, weights_b)
     return a_form, b_form
 
 
@@ -101,9 +107,8 @@ def second_variation_forms(sol: HenonSolution, ell: int = 1,
 
 def _sturm_count(a_form: TridiagForm, b_form: TridiagForm, s: float) -> int:
     """Pencil eigenvalues below s: the negative LDL^T pivots of A - s B."""
-    pivots, _ = ldlt(a_form.diag - s * b_form.diag,
-                     a_form.off - s * b_form.off)
-    return sum(piv < 0.0 for piv in pivots)
+    return negative_pivots(a_form.diag - s * b_form.diag,
+                           a_form.off - s * b_form.off)
 
 
 def _rayleigh(a_form: TridiagForm, b_form: TridiagForm, x: np.ndarray) -> float:
@@ -189,6 +194,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     # pencil, so a refused certificate restarts from the linear probe.
     for start in (np.ones(size), nodes_probe):
         h = start / math.sqrt(b_form.quad_form(start))
+        bh = b_form.matvec(h)
         rho, backward, previous = math.nan, np.inf, np.inf
         for steps in range(1, 31):
             if pivots is None:  # factor once per shift
@@ -198,15 +204,18 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
                     pivots = None
                     shift -= width + 1e-14 * max(1.0, abs(shift))
                     continue
-            y = solve_banded(pivots, multipliers, b_form.matvec(h))
+            y = solve_banded(pivots, multipliers, bh)
             h = y / math.sqrt(b_form.quad_form(y))
-            rho = a_form.quad_form(h)
+            # A h and B h once each: for rho, the residual and (B h) the
+            # next step's right-hand side.
+            ah, bh = a_form.matvec(h), b_form.matvec(h)
+            rho = float(np.dot(h, ah))
             # Measure the residual against |A||h| (Oettli-Prager), not
             # ||A h||: A's coefficients span many orders of magnitude where
             # the profile concentrates, so A h cancels and a normwise
             # residual stays far above eps even for a dense solver's
             # eigenvector.
-            resid = a_form.matvec(h) - rho * b_form.matvec(h)
+            resid = ah - rho * bh
             abs_h = np.abs(h)
             magnitude = abs_a.matvec(abs_h) + abs(rho) * abs_b.matvec(abs_h)
             # (A h = 0 with rho = 0 is exact: the floor makes it 0, not 0/0.)

@@ -6,7 +6,7 @@ import pytest
 
 from henon_lab.mesh import (MAX_DIMENSION, MAX_REFINEMENT, ZERO_PIVOT,
                             RadialFunction, TridiagForm, assemble_forms,
-                            build_grid, ldlt, ldlt_solve)
+                            build_grid, ldlt, ldlt_solve, negative_pivots)
 
 
 def test_grid_basic_shape():
@@ -91,7 +91,7 @@ def test_radial_function_prefers_dense_evaluator():
 def test_tridiag_form_consistency():
     rng = np.random.default_rng(7)
     grid = build_grid(4, refinement=4)
-    form = assemble_forms(grid, lambda r: r ** 3, lambda r: 1.0 + r ** 2)
+    form = assemble_forms(grid, lambda r: (r ** 3, 1.0 + r ** 2))
     dense = form.to_dense()
     assert np.allclose(dense, dense.T)
     v = rng.standard_normal(form.size)
@@ -114,7 +114,9 @@ def test_ldlt_solve_matches_dense_solve(size):
 
 def _negative_pivots(diag, off, shift):
     pivots, _ = ldlt(diag - shift, off)
-    return sum(piv < 0.0 for piv in pivots)
+    count = sum(piv < 0.0 for piv in pivots)
+    assert negative_pivots(diag - shift, off) == count
+    return count
 
 
 def test_ldlt_negative_pivots_count_eigenvalues_below_shift():
@@ -136,11 +138,68 @@ def test_ldlt_negative_pivots_count_eigenvalues_below_shift():
     assert _negative_pivots(diag, off, 2.0) == np.sum(eigs < 2.0) == size // 2
 
 
+def _ldlt_reference(diag, off):
+    """The factor loop as first written, with e * e in the loop."""
+    d, e = diag.tolist(), off.tolist()
+    piv = d[0] if d[0] != 0.0 else ZERO_PIVOT
+    pivots, multipliers = [piv], []
+    for d_i, e_i in zip(d[1:], e):
+        multipliers.append(e_i / piv)
+        piv = d_i - e_i * e_i / piv
+        if piv == 0.0:
+            piv = ZERO_PIVOT
+        pivots.append(piv)
+    return pivots, multipliers
+
+
+def _ldlt_solve_reference(pivots, multipliers, rhs):
+    """The solve as first written: substitute, divide, substitute."""
+    x = rhs.tolist()
+    for i, m in enumerate(multipliers):
+        x[i + 1] -= m * x[i]
+    x = [x_i / piv for x_i, piv in zip(x, pivots)]
+    for i in range(len(multipliers) - 1, -1, -1):
+        x[i] -= multipliers[i] * x[i + 1]
+    return np.array(x)
+
+
+def _indefinite_input(size, zero_at):
+    """An indefinite tridiagonal matrix whose pivot `zero_at` (if any) is
+    exactly zero: d_k is set to e_{k-1}^2 / piv_{k-1} as the loop rounds it."""
+    rng = np.random.default_rng(size)
+    diag = rng.uniform(-2.0, 2.0, size)
+    off = rng.uniform(-1.0, 1.0, size - 1)
+    if zero_at == 0:
+        diag[0] = 0.0
+    elif zero_at is not None:
+        pivots, _ = _ldlt_reference(diag, off)
+        e = off[zero_at - 1]
+        diag[zero_at] = e * e / pivots[zero_at - 1]
+    return diag, off, rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("size, zero_at", [
+    (1, None), (2, None), (3, None), (641, None),
+    (1, 0), (3, 1), (641, 0), (641, 320), (641, 640)])
+def test_sweeps_match_the_reference_loops_bit_for_bit(size, zero_at):
+    diag, off, rhs = _indefinite_input(size, zero_at)
+    ref_pivots, ref_multipliers = _ldlt_reference(diag, off)
+    if zero_at is not None:
+        assert ref_pivots[zero_at] == ZERO_PIVOT
+    pivots, multipliers = ldlt(diag, off)
+    assert pivots == ref_pivots and multipliers == ref_multipliers
+    assert negative_pivots(diag, off) == sum(p < 0.0 for p in ref_pivots)
+    # Past a zero pivot the solution over- or underflows; tobytes compares
+    # inf, NaN and signed zeros bit for bit where == would not.
+    got = ldlt_solve(pivots, multipliers, rhs)
+    want = _ldlt_solve_reference(ref_pivots, ref_multipliers, rhs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_assembled_mass_integrates_monomials():
     n = 4
     grid = build_grid(n, refinement=5)
-    form = assemble_forms(grid, lambda r: np.zeros_like(r),
-                          lambda r: r ** (n - 1))
+    form = assemble_forms(grid, lambda r: (np.zeros_like(r), r ** (n - 1)))
     ones = np.ones(form.size)
     # ones^T M ones = int r^(n-1) = 1/n; the P1 mass lumps nothing.
     assert abs(form.quad_form(ones) - 1.0 / n) < 1e-14
@@ -152,8 +211,7 @@ def test_assembled_mass_integrates_monomials():
 def test_assembled_stiffness_on_linear_function():
     n = 3
     grid = build_grid(n, refinement=5)
-    form = assemble_forms(grid, lambda r: r ** (n - 1),
-                          lambda r: np.zeros_like(r))
+    form = assemble_forms(grid, lambda r: (r ** (n - 1), np.zeros_like(r)))
     ramp = grid.nodes
     assert abs(form.quad_form(ramp) - 1.0 / n) < 1e-14
 
@@ -165,13 +223,12 @@ def test_first_cell_substitution_exactness_class():
     # of the corner hat: int_0^h0 r^a dr / h0^2.
     e = 2.5 / 1.5  # p/(p-1) at p = 2.5
     grid = build_grid(4, refinement=4)
-    zero = lambda r: np.zeros_like(r)
     h0 = grid.nodes[1]
     for k in (0, 1, 3):
         a = (k + 1) * e - 1.0
-        weight = lambda r, a=a: r ** a
-        fancy = assemble_forms(grid, weight, zero, first_cell_exponent=e)
-        plain = assemble_forms(grid, weight, zero)
+        weights = lambda r, a=a: (r ** a, np.zeros_like(r))
+        fancy = assemble_forms(grid, weights, first_cell_exponent=e)
+        plain = assemble_forms(grid, weights)
         exact = h0 ** (a + 1.0) / (a + 1.0) / h0 ** 2
         assert abs(fancy.diag[0] - exact) / exact < 1e-13
         assert abs(plain.diag[0] - exact) / exact > 1e-5
@@ -180,9 +237,9 @@ def test_first_cell_substitution_exactness_class():
 def test_first_cell_substitution_is_local():
     e = 2.5 / 1.5
     grid = build_grid(4, refinement=4)
-    weight = lambda r: r ** 2.3
-    fancy = assemble_forms(grid, weight, weight, first_cell_exponent=e)
-    plain = assemble_forms(grid, weight, weight)
+    weights = lambda r: (r ** 2.3, r ** 2.3)
+    fancy = assemble_forms(grid, weights, first_cell_exponent=e)
+    plain = assemble_forms(grid, weights)
     # Only entries fed by cell 0 may move.
     assert np.array_equal(fancy.diag[2:], plain.diag[2:])
     assert np.array_equal(fancy.off[1:], plain.off[1:])
