@@ -22,19 +22,15 @@ from .henon import (HenonSolution, LimitPoint, LimitReport, SlopeReport,
                     shooting_miss, solve_henon, validate_parameters)
 from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms, build_grid
 from .second_variation import (EigenprofileReport, PencilResult,
-                               PositivityScan, PotentialProfile, ScanCell,
                                eigenprofile_properties,
                                eigenprofile_steepness, min_second_variation,
                                pencil_forms, pencil_min_eig,
-                               positivity_scan, potential_profile,
-                               potential_sign_change, schrodinger_potential,
                                second_variation_forms)
 from .special import bessel_i, bessel_i_prime, gamma_fn, surface_measure
 from .stability import (AppendixTableRow, ChainLink, ChainReport,
-                        StabilityPoint, appendix_table, compute_ipn,
-                        compute_k, conjugate_exponent, find_p_loc,
-                        find_q_loc, g_tilde, kappa_value, stability_point,
-                        stability_scale, t_star, tau_star,
+                        appendix_table, compute_ipn, compute_k,
+                        conjugate_exponent, find_p_loc, find_q_loc, g_tilde,
+                        kappa_value, stability_scale, t_star, tau_star,
                         verify_appendix_chain)
 from .steklov import (SteklovSolution, bessel_lambda2, limit_form_matrix,
                       limit_form_min_closed, limit_form_min_numeric,
@@ -58,10 +54,8 @@ __all__ = [
     "LimitPoint", "LimitReport", "limit_comparison",
     "PencilResult", "pencil_forms", "second_variation_forms",
     "pencil_min_eig", "min_second_variation", "eigenprofile_steepness",
-    "EigenprofileReport", "eigenprofile_properties", "schrodinger_potential",
-    "PotentialProfile", "potential_profile", "potential_sign_change",
-    "ScanCell", "PositivityScan", "positivity_scan",
-    "StabilityPoint", "stability_point", "compute_k", "stability_scale",
+    "EigenprofileReport", "eigenprofile_properties",
+    "compute_k", "stability_scale",
     "find_q_loc", "find_p_loc", "compute_ipn", "kappa_value",
     "conjugate_exponent", "t_star", "tau_star", "g_tilde",
     "AppendixTableRow", "appendix_table",

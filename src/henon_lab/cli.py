@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SolverError
 from .henon import MU_QUOTIENT_TOL, solve_henon
-from .second_variation import eigenprofile_steepness, min_second_variation
+from .second_variation import (SIGMA_TOL, eigenprofile_steepness,
+                               min_second_variation)
 from .special import surface_measure
 from .stability import (appendix_table, compute_k, find_p_loc, find_q_loc,
                         stability_scale, verify_appendix_chain)
@@ -167,7 +168,7 @@ def _run_second_variation(args) -> dict:
     results = {"sigma": result.sigma, "lambda_reg": result.lambda_reg,
                "angular": result.angular, "mu": sol.mu,
                "steepness": eigenprofile_steepness(result)}
-    tolerances = {"sigma_residual": 1e-8}
+    tolerances = {"sigma": SIGMA_TOL}
     diagnostics = {"radial": dict(sol.diagnostics),
                    "pencil": dict(result.diagnostics)}
     profiles = {}
@@ -232,11 +233,19 @@ def _run_appendix_table(args) -> dict:
                    profiles)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a boolean or a fraction raises, not truncates."""
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _sweep_point(task) -> dict:
     """One sweep unit; exceptions become data so a bad point cannot stop it."""
     index, point, refinement, tol, output_dir = task
     try:
-        n = int(point["n"])
+        n = _integer(point["n"], "n")
         p = float(point["p"])
         q = float(point["q"])
         alpha = float(point["alpha"])
@@ -267,8 +276,10 @@ def _run_sweep(args) -> dict:
     points = config.get("points", [])
     if not isinstance(points, list):
         raise ValueError("'points' must be a list of parameter objects")
-    refinement = int(config.get("refinement", 8))
+    refinement = _integer(config.get("refinement", 8), "refinement")
     tol = float(config.get("tol", 1e-10))
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     output_dir = config.get("output_dir")
     parallelism = int(config.get("parallelism", 1))
     if parallelism < 1:

@@ -358,8 +358,9 @@ def integrate_flux_ode(source: Callable[[float, float], float], u0: float,
     check_dimension(n)
     if u0 <= 0.0:
         raise ValueError(f"origin value must be positive, got {u0}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(
+            f"tolerance tol must be finite and positive, got {tol!r}")
     amp = math.copysign(abs(flux_coeff) ** (1.0 / (p - 1.0)), flux_coeff)
     value = u0 + amp * (p - 1.0) / p * SEED_RADIUS ** (p / (p - 1.0))
     flux = flux_coeff * SEED_RADIUS ** n

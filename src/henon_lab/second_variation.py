@@ -17,8 +17,8 @@ in three steps (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4 and 7):
 a coarse Sturm-sequence bracket, only narrow enough that inverse iteration
 shifted below it converges at rate 1/16; shifted inverse iteration, which
 stops on a backward error measured against |A||h|; and two Sturm counts
-at rho -+ 1e-7 max(1, |rho|) that certify the Rayleigh quotient rho as the
-smallest eigenvalue.  A refused certificate restarts inverse iteration
+at rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho
+as the smallest eigenvalue.  A refused certificate restarts inverse iteration
 once from a linear start vector; a missed backward error or a second
 refusal raises ConvergenceError.  Every step sweeps the LDL^T pivot
 recurrence of A - s B on plain floats, on numpy alone: a Sturm count runs
@@ -37,19 +37,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, SolverError
-from .henon import HenonSolution, solve_henon
+from .errors import ConvergenceError
+from .henon import HenonSolution
 from .mesh import (ZERO_PIVOT, RadialFunction, RadialGrid, TridiagForm,
                    assemble_forms, ldlt, negative_pivots)
 from .mesh import ldlt_solve as solve_banded  # perfbench counts this name
-from .rootfind import brent_root, sign_change_pairs
 
 __all__ = ["PencilResult", "pencil_forms", "second_variation_forms",
            "pencil_min_eig", "min_second_variation", "eigenprofile_steepness",
-           "EigenprofileReport", "eigenprofile_properties",
-           "schrodinger_potential", "PotentialProfile", "potential_profile",
-           "potential_sign_change", "ScanCell", "PositivityScan",
-           "positivity_scan"]
+           "EigenprofileReport", "eigenprofile_properties"]
+
+# `pencil_min_eig` certifies |sigma - rho| <= SIGMA_TOL max(1, |rho|) for
+# the rho it returns; every `second-variation` record states it.
+SIGMA_TOL = 1e-7
 
 
 def pencil_forms(grid: RadialGrid, *, p: float, n: int, q: float,
@@ -130,7 +130,8 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     A shift that hits an exact zero pivot is stepped down and the matrix
     refactored, as in LAPACK's dstein.  Two Sturm counts certify the
     Rayleigh quotient rho: none below rho - delta and at least one below
-    rho + delta, delta = 1e-7 max(1, |rho|), prove |sigma - rho| <= delta.
+    rho + delta, delta = SIGMA_TOL max(1, |rho|), prove
+    |sigma - rho| <= delta.
     Inverse iteration starts from h = ones; a refused certificate restarts
     it once from the linear probe.  Missing the backward-error test in 30
     steps (a NaN never meets it), or a second refused certificate, raises
@@ -235,7 +236,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
                 f"inverse iteration ended at backward error {backward:.3g} "
                 f"(target {tol:.3g}) and quotient {rho!r} after {steps} "
                 f"steps")
-        delta = 1e-7 * max(1.0, abs(rho))
+        delta = SIGMA_TOL * max(1.0, abs(rho))
         below, upto = count(rho - delta), count(rho + delta)
         if below == 0 and upto >= 1:
             break
@@ -348,125 +349,3 @@ def eigenprofile_properties(result: PencilResult) -> EigenprofileReport:
     return EigenprofileReport(monotone=monotone, steepness=steepness,
                               origin_slope=origin_slope,
                               expected_origin_slope=expected)
-
-
-@dataclass
-class PotentialProfile:
-    """The linearized potential sampled on a grid, with its refined zeros."""
-
-    lam: float
-    grid: RadialGrid
-    values: np.ndarray          # V at grid.nodes[1:] (V is singular at 0)
-    sign_changes: list[float]   # refined radii, possibly empty or several
-
-
-@dataclass
-class ScanCell:
-    q: float
-    alpha: float
-    sigma: float | None
-    error: str | None = None
-
-
-@dataclass
-class PositivityScan:
-    """sigma over a (q, alpha) grid; failures are recorded per cell."""
-
-    n: int
-    p: float
-    q_values: list[float]
-    alpha_values: list[float]
-    cells: list[ScanCell]
-
-    def positive_at_largest_alpha(self, q: float) -> bool | None:
-        top = max(self.alpha_values)
-        for cell in self.cells:
-            if cell.q == q and cell.alpha == top:
-                return None if cell.sigma is None else cell.sigma > 0.0
-        raise KeyError(q)
-
-
-def positivity_scan(n: int, p: float, q_list, alpha_list, *,
-                    refinement: int = 8, tol: float = 1e-10,
-                    ell: int = 1) -> PositivityScan:
-    """Tabulate sigma over q and alpha; per-cell failures do not stop it."""
-    q_values = [float(q) for q in q_list]
-    alpha_values = [float(a) for a in alpha_list]
-    if not q_values or not alpha_values:
-        raise ValueError("scan needs at least one q and one alpha")
-    cells = []
-    for q in q_values:
-        for alpha in alpha_values:
-            try:
-                sol = solve_henon(n, p, q, alpha, refinement=refinement,
-                                  tol=tol)
-                result = min_second_variation(sol, ell=ell)
-                cells.append(ScanCell(q=q, alpha=alpha, sigma=result.sigma))
-            except (SolverError, ValueError) as exc:
-                cells.append(ScanCell(q=q, alpha=alpha, sigma=None,
-                                      error=str(exc)))
-    return PositivityScan(n=n, p=p, q_values=q_values,
-                          alpha_values=alpha_values, cells=cells)
-
-
-def schrodinger_potential(sol: HenonSolution, lam: float = 0.0) -> Callable:
-    """Zero-order coefficient of the linearized operator, as a callable.
-
-        V(r) = (n-1)(v')^(p-2) / r^2 + (p-1) v^(p-2) + lam
-               - (q-1) mu^(q/p) r^alpha v^(q-2)
-
-    The balance of the Steklov-like part against the focusing term switches
-    sign once inside the boundary layer.
-    """
-    p, n, q, alpha = sol.p, sol.n, sol.q, sol.alpha
-    muf = sol.mu ** (q / p)
-    v, dv = sol.v, sol.v.derivative
-
-    def potential(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.abs(v(r))
-        return ((n - 1.0) * np.abs(dv(r)) ** (p - 2.0) / r ** 2
-                + (p - 1.0) * vals ** (p - 2.0) + lam
-                - (q - 1.0) * muf * r ** alpha * vals ** (q - 2.0))
-
-    return potential
-
-
-def potential_profile(sol: HenonSolution, lam: float = 0.0,
-                      grid: RadialGrid | None = None) -> PotentialProfile:
-    """Sample the potential on the grid and refine every sign change.
-
-    Zero or several crossings are reported as data, not as an error; for
-    large alpha a single crossing inside the boundary layer is expected.
-    The node at r = 0 is skipped (the centrifugal term is singular there).
-    """
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    if grid is None:
-        grid = sol.grid
-    potential = schrodinger_potential(sol, lam=lam)
-    rs = grid.nodes[1:]
-    vals = potential(rs)
-    changes = []
-    for i in sign_change_pairs(vals):
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        changes.append(brent_root(lambda r: float(potential(r)),
-                                  float(rs[i]), float(rs[i + 1]),
-                                  f_tol=1e-7 * max(abs(fa), abs(fb)),
-                                  x_tol=1e-13, fa=fa, fb=fb))
-    return PotentialProfile(lam=lam, grid=grid, values=vals,
-                            sign_changes=changes)
-
-
-def potential_sign_change(sol: HenonSolution, lam: float = 0.0) -> float:
-    """The unique sign-change radius of the potential; raises if not unique.
-
-    For large alpha the crossing sits inside the boundary layer, past
-    1 - 3 log(alpha)/(2 alpha).
-    """
-    profile = potential_profile(sol, lam=lam)
-    if len(profile.sign_changes) != 1:
-        raise ConvergenceError(
-            f"expected one sign change of the potential, found "
-            f"{len(profile.sign_changes)}")
-    return profile.sign_changes[0]

@@ -27,11 +27,11 @@ from .rootfind import brent_root, sign_change_pairs
 from .special import surface_measure
 from .steklov import steklov_eigenvalue
 
-__all__ = ["StabilityPoint", "AppendixTableRow", "ChainLink", "ChainReport",
-           "compute_k", "stability_scale", "stability_point", "find_q_loc",
-           "find_p_loc", "conjugate_exponent", "kappa_value", "compute_ipn",
-           "t_star", "tau_star", "g_small", "g_cap", "g_tilde",
-           "g_cap_derivative", "appendix_table", "verify_appendix_chain"]
+__all__ = ["AppendixTableRow", "ChainLink", "ChainReport", "compute_k",
+           "stability_scale", "find_q_loc", "find_p_loc",
+           "conjugate_exponent", "kappa_value", "compute_ipn", "t_star",
+           "tau_star", "g_small", "g_cap", "g_tilde", "g_cap_derivative",
+           "appendix_table", "verify_appendix_chain"]
 
 _E = math.e
 _EPS = sys.float_info.epsilon
@@ -65,32 +65,6 @@ def stability_scale(n: int, p: float, lambda_p: float | None = None) -> float:
     if lambda_p is None:
         lambda_p = steklov_eigenvalue(n, p)
     return lambda_p ** (2.0 / p) * surface_measure(n) ** (2.0 / p - 1.0)
-
-
-@dataclass
-class StabilityPoint:
-    """K at one parameter point together with the bound-chain scalars."""
-
-    n: int
-    p: float
-    q: float
-    lambda_p: float
-    k_value: float
-    kappa: float
-    ipn: float
-    tpn: float
-    taupn: float
-    beta: float  # n/p', exceeds 1 for p < n ... p <= n keeps it >= 1
-
-
-def stability_point(n: int, p: float, q: float) -> StabilityPoint:
-    lam = steklov_eigenvalue(n, p)
-    t = t_star(n, p)
-    return StabilityPoint(n=n, p=p, q=q, lambda_p=lam,
-                          k_value=compute_k(n, p, q, lam),
-                          kappa=kappa_value(n, p), ipn=compute_ipn(n, p),
-                          tpn=t, taupn=tau_star(n, p, t),
-                          beta=n / conjugate_exponent(p))
 
 
 def find_q_loc(n: int, p: float, *, lambda_p: float | None = None) -> float:

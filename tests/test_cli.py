@@ -117,6 +117,8 @@ def test_second_variation_record(tmp_path):
     assert res["lambda_reg"] == 0.0
     assert res["angular"] == 3.0
     assert res["mu"] > 0.0
+    # The certificate's bound, not a figure the record never checks.
+    assert rec["tolerances"] == {"sigma": 1e-7, "csv_steepness": 1e-8}
     rs, vals, derivs = read_profile(out)
     inner = rs[1:-1] * derivs[1:-1]
     assert float(np.max(inner) / vals[-1]) == res["csv_steepness"]
@@ -248,6 +250,8 @@ def test_sweep(tmp_path):
             {"n": 4, "p": 2.0, "q": 3.0, "alpha": 10.0},
             {"n": 4, "p": 2.0, "q": 1.5, "alpha": 5.0},
             {"n": 4},
+            {"n": 4.9, "p": 2.0, "q": 2.5, "alpha": 5.0},
+            {"n": True, "p": 2.0, "q": 2.5, "alpha": 5.0},
         ],
         "refinement": 5,
         "parallelism": 2,
@@ -259,7 +263,7 @@ def test_sweep(tmp_path):
     assert proc.returncode == 0
     rec = record_of(proc)
     points = rec["results"]["points"]
-    assert len(points) == 4
+    assert len(points) == 6
     # Output order follows the config regardless of parallelism.
     assert points[0]["point"]["q"] == 2.5
     assert points[1]["point"]["q"] == 3.0
@@ -270,6 +274,27 @@ def test_sweep(tmp_path):
     # A bad parameter point and a malformed one are isolated, not fatal.
     assert points[2]["error"]["type"] == "ValueError"
     assert points[3]["error"]["type"] == "KeyError"
+    # n is not truncated: a fraction or a boolean is that point's error.
+    for entry, shown in zip(points[4:], ("4.9", "True")):
+        assert entry["error"]["type"] == "ValueError"
+        message = entry["error"]["message"]
+        assert f"n must be an integer, got {shown}" in message
+
+    # A bad refinement or tol stops the sweep before any point runs.
+    point = {"n": 4, "p": 2.0, "q": 2.5, "alpha": 5.0}
+    for key, value in [("refinement", 6.7), ("refinement", True),
+                       ("tol", math.nan), ("tol", math.inf), ("tol", 0.0)]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": [point], key: value}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["sweep", str(bad)])
+        assert code == 2, (key, value)
+        rec = json.loads(out.getvalue())
+        assert rec["error"]["type"] == "ValueError"
+        assert rec["error"]["message"].startswith(key), rec
+        assert "results" not in rec
 
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"points": []}))
@@ -290,6 +315,10 @@ NON_FINITE = [
      lambda: solve_steklov(3, math.inf), "p"),
     (("stability", "--n", "3", "--p", "inf"),
      lambda: compute_ipn(3, math.inf), "p"),
+    (("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "50", "--tol",
+      "nan"), lambda: solve_henon(4, 2.0, 3.0, 50.0, tol=math.nan), "tol"),
+    (("steklov", "--n", "3", "--p", "2", "--tol", "inf"),
+     lambda: solve_steklov(3, 2.0, tol=math.inf), "tol"),
 ]
 
 

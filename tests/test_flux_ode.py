@@ -29,8 +29,9 @@ def test_seed_validation():
 
 
 def test_seed_window_validation():
-    # The run covers [SEED_RADIUS, 1]; a non-positive tolerance is refused.
-    for tol in (0.0, -1e-8):
+    # The run covers [SEED_RADIUS, 1]; a tolerance that is not finite and
+    # positive is refused.
+    for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=tol)
     traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3)

@@ -6,6 +6,7 @@ exception imports scipy inside a function body, on first use:
 is the only runtime dependency in `pyproject.toml`.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -61,3 +62,24 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
     assert any(spec.startswith("scipy")
                for spec in project["optional-dependencies"]["test"])
+
+
+def test_every_exported_name_resolves_once():
+    # A name deleted from a module but left in an `__all__` list is caught
+    # here, not by the first `from henon_lab import *` that trips on it.
+    modules = [henon_lab] + [
+        importlib.import_module(f"henon_lab.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")]
+    checked = 0
+    for module in modules:
+        exported = getattr(module, "__all__", None)
+        if exported is None:  # errors.py exports by plain definition
+            continue
+        checked += 1
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        repeated = sorted({name for name in exported
+                           if exported.count(name) > 1})
+        assert not repeated, (module.__name__, repeated)
+    assert checked >= 10

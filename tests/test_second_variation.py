@@ -14,12 +14,11 @@ from henon_lab.second_variation import (dense_min_eig,
                                         eigenprofile_properties,
                                         eigenprofile_steepness,
                                         min_second_variation, pencil_forms,
-                                        pencil_min_eig, positivity_scan,
-                                        potential_profile,
-                                        potential_sign_change,
-                                        schrodinger_potential,
+                                        pencil_min_eig,
                                         second_variation_forms)
-from henon_lab.steklov import limit_form_matrix
+from henon_lab.henon import critical_exponent, solve_henon
+from henon_lab.stability import compute_k, find_p_loc
+from henon_lab.steklov import limit_form_matrix, steklov_eigenvalue
 
 
 def _const_forms(grid, **overrides):
@@ -369,50 +368,30 @@ def test_eigenprofile_shapes(ground_state):
     assert abs(rep.origin_slope) <= 0.15
 
 
-def test_potential_crossing_in_layer(ground_state):
-    sol = ground_state(4, 2.5, 3.0, 400.0)
-    r0 = potential_sign_change(sol)
-    alpha = sol.alpha
-    assert r0 > 1.0 - 1.5 * np.log(alpha) / alpha
-    assert r0 < 1.0
-    potential = schrodinger_potential(sol)
-    assert abs(potential(r0)) <= 1e-6
-    assert potential(1.0) < 0.0
-    # Adding the focusing term back leaves the manifestly positive part.
-    rs = np.linspace(0.05, 1.0, 50)
-    muf = sol.mu ** (sol.q / sol.p)
-    focusing = (sol.q - 1.0) * muf * rs ** sol.alpha * sol.v(rs) ** (sol.q - 2.0)
-    assert np.all(potential(rs) + focusing > 0.0)
-
-
-def test_potential_profile_api(ground_state):
-    sol = ground_state(4, 2.0, 3.0, 400.0)
-    profile = potential_profile(sol)
-    assert profile.values.size == sol.grid.nodes.size - 1
-    assert len(profile.sign_changes) == 1
-    with pytest.raises(ValueError, match="nonnegative"):
-        potential_profile(sol, lam=-1.0)
-
-
-def test_no_crossing_reported():
-    # The constant profile at alpha = 0 keeps the potential positive on all
-    # of (0, 1]; the unique-crossing accessor must refuse.
-    from henon_lab.henon import solve_henon
-    sol = solve_henon(4, 2.0, 2.2, 0.0)
-    with pytest.raises(ConvergenceError, match="sign change"):
-        potential_sign_change(sol)
-
-
-def test_positivity_scan_isolates_failures():
-    scan = positivity_scan(4, 2.0, (3.0, 1.5), (200.0, 400.0), refinement=6)
-    assert len(scan.cells) == 4
-    good = [c for c in scan.cells if c.q == 3.0]
-    bad = [c for c in scan.cells if c.q == 1.5]
-    assert all(c.sigma is not None and c.sigma > 0.0 for c in good)
-    assert all(c.sigma is None and "q > p" in c.error for c in bad)
-    assert scan.positive_at_largest_alpha(3.0) is True
-    assert scan.positive_at_largest_alpha(1.5) is None
-    with pytest.raises(KeyError):
-        scan.positive_at_largest_alpha(2.7)
-    with pytest.raises(ValueError, match="at least one"):
-        positivity_scan(4, 2.0, (), (100.0,))
+def test_claim_1_sign_map():
+    # Claim 1: for n >= 4, p > 2 near 2 and q in (p, p*), sigma > 0 at
+    # large alpha, and K(n, p, q) predicts its sign.  The grid spans q
+    # across (p, p*) and takes p past p_loc, where K turns negative near p*.
+    # Only signs are asserted: for p > 2 A's weight (v')^(p-2) vanishes at
+    # the origin, so the first grid node sets the size of a positive sigma,
+    # while its sign is the inertia of A whatever the mesh.
+    points, disagree, unstable = 0, [], []
+    for n in (4, 5, 6):
+        for p in (2.05, 2.2, find_p_loc(n) + 0.3):
+            lam = steklov_eigenvalue(n, p)
+            p_star = critical_exponent(n, p)
+            for f in (0.05, 0.3, 0.6, 0.9, 0.99):
+                q = p + f * (p_star - p)
+                k = compute_k(n, p, q, lam)
+                for alpha in (400.0, 3000.0):
+                    sigma = min_second_variation(
+                        solve_henon(n, p, q, alpha), ell=1).sigma
+                    points += 1
+                    point = (n, p, f, alpha, sigma, k)
+                    if np.sign(sigma) != np.sign(k):
+                        disagree.append(point)
+                    if p in (2.05, 2.2) and not sigma > 0.0:
+                        unstable.append(point)
+    assert points == 90
+    assert not disagree
+    assert not unstable

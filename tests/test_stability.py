@@ -9,9 +9,8 @@ from henon_lab.errors import ConvergenceError
 from henon_lab.stability import (appendix_table, compute_ipn, compute_k,
                                  conjugate_exponent, find_p_loc, find_q_loc,
                                  g_cap, g_cap_derivative, g_small, g_tilde,
-                                 kappa_value, stability_point,
-                                 stability_scale, t_star, tau_star,
-                                 verify_appendix_chain)
+                                 kappa_value, stability_scale, t_star,
+                                 tau_star, verify_appendix_chain)
 from henon_lab.steklov import steklov_eigenvalue
 
 # 30-digit reference evaluations, frozen.
@@ -117,17 +116,6 @@ def test_q_loc():
     # Spot the matrix claim q_loc > p away from p = 2 as well.
     for n, p in [(3, 2.0), (4, 3.5), (6, 4.0)]:
         assert find_q_loc(n, p) > p, (n, p)
-
-
-def test_stability_point_bundle():
-    pt = stability_point(4, 2.0, 4.0)
-    assert abs(pt.k_value - K_ORACLES[(4, 2.0, 4.0)]) <= 1e-6
-    assert abs(pt.ipn - IPN_ORACLES[(4, 2.0)]) <= 1e-10
-    assert pt.kappa == kappa_value(4, 2.0)
-    assert pt.tpn == t_star(4, 2.0)
-    assert pt.taupn == tau_star(4, 2.0)
-    assert pt.beta == 2.0  # n / p' at (4, 2)
-    assert 0.0 < pt.lambda_p < 0.25
 
 
 def test_p_loc():
