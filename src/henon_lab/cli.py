@@ -241,14 +241,21 @@ def _integer(value, name: str) -> int:
     return int(number)
 
 
+def _real(value, name: str) -> float:
+    """value as a float; a boolean raises, not converts."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _sweep_point(task) -> dict:
     """One sweep unit; exceptions become data so a bad point cannot stop it."""
     index, point, refinement, tol, output_dir = task
     try:
         n = _integer(point["n"], "n")
-        p = float(point["p"])
-        q = float(point["q"])
-        alpha = float(point["alpha"])
+        p = _real(point["p"], "p")
+        q = _real(point["q"], "q")
+        alpha = _real(point["alpha"], "alpha")
     except (KeyError, TypeError, ValueError) as exc:
         return {"point": point, "error": {"type": type(exc).__name__,
                                           "message": str(exc)}}
@@ -277,11 +284,11 @@ def _run_sweep(args) -> dict:
     if not isinstance(points, list):
         raise ValueError("'points' must be a list of parameter objects")
     refinement = _integer(config.get("refinement", 8), "refinement")
-    tol = float(config.get("tol", 1e-10))
+    tol = _real(config.get("tol", 1e-10), "tol")
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     output_dir = config.get("output_dir")
-    parallelism = int(config.get("parallelism", 1))
+    parallelism = _integer(config.get("parallelism", 1), "parallelism")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if output_dir:

@@ -5,10 +5,12 @@ integrated as a first-order system in (u, F) with F = r^(n-1) |u'|^(p-2) u'.
 The gradient is recovered as u' = sign(F) (|F|/r^(n-1))^(1/(p-1)), which
 stays well-defined where u' vanishes and p > 2, unlike inverting |u'|^(p-2).
 
-The caller gives the source s(r, u) of F' = r^(n-1) s(r, u), and the
-origin value u0 and flux coefficient c (F = c r^n at leading order) of the
-profile.  Below SEED_RADIUS the profile is its startup series in r; the
-integration starts from the series there and runs to r = 1, so a
+The source s(r, u) of F' = r^(n-1) s(r, u) is u^(p-1) - sink r^alpha u^(q-1),
+given by sink, alpha and q (sink = 0 is the Steklov equation, sink = 1 the
+Henon one), and the caller gives the origin value u0 and flux coefficient c
+(F = c r^n at leading order) of the profile.  Below SEED_RADIUS the profile
+is its startup series in r; the integration starts from the series there
+and runs to r = 1, so a
 `FluxTrajectory` is the profile on all of [0, 1].  The power r^(n-1) is
 computed once per stage and serves both u' and F'.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -330,23 +331,25 @@ def solve_ivp(fun, r0: float, r_end: float, u0: float, flux0: float, *,
                     stages=ks)
 
 
-def integrate_flux_ode(source: Callable[[float, float], float], u0: float,
-                       flux_coeff: float, *, p: float, n: int,
+def integrate_flux_ode(u0: float, flux_coeff: float, *, p: float, n: int,
+                       sink: float = 0.0, alpha: float = 0.0, q: float = 2.0,
                        tol: float = 1e-10, value_cap: float | None = None,
                        stop_on_nonpositive: bool = False) -> FluxTrajectory:
     """Integrate the profile with origin value u0 from SEED_RADIUS to r = 1.
 
-    Near r = 0 the flux of a bounded profile is c r^n at leading order,
-    c = flux_coeff (u0^(p-1)/n for the Steklov equation), so
+    The source is s(r, u) = u+^(p-1) - sink r^alpha u+^(q-1), u+ = max(u, 0):
+    sink = 0 is the Steklov equation, sink = 1 the Henon one.  Near r = 0
+    the flux of a bounded profile is c r^n at leading order, c = flux_coeff
+    (u0^(p-1)/n for the Steklov equation), so
     u(r) = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)) + o(r^(p/(p-1))).
     The run starts from that series at SEED_RADIUS; the returned trajectory
     evaluates it below.  A non-finite flux_coeff raises IntegrationError.
 
     Parameters
     ----------
-    source : callable
-        s(r, u), with F'(r) = r^(n-1) s(r, u).  A NaN or complex F' ends
-        the run as an IntegrationError.
+    sink, alpha, q : float
+        The sink term of the source; a NaN F' ends the run as an
+        IntegrationError.
     value_cap : float, optional
         Terminate (status 'capped') once |u| exceeds this blow-up threshold.
     stop_on_nonpositive : bool
@@ -369,26 +372,40 @@ def integrate_flux_ode(source: Callable[[float, float], float], u0: float,
             f"seed state ({value:.6g}, {flux:.6g}) at r={SEED_RADIUS:.6g} "
             "is not finite", last_radius=SEED_RADIUS)
 
-    inv_exp = 1.0 / (p - 1.0)
-    nm1 = n - 1
-
-    def rhs(r, u, flux):
-        rn = r ** nm1
-        df = rn * source(r, u)
-        # On plain floats a negative base to a fractional power is complex
-        # where numpy gave NaN; both mean the right-hand side is undefined.
-        if df != df or type(df) is complex:
-            raise IntegrationError(
-                f"flux right-hand side returned {df!r} at r={r:.6g}",
-                last_radius=r)
-        return math.copysign((abs(flux) / rn) ** inv_exp, flux), df
-
-    sol = solve_ivp(rhs, SEED_RADIUS, 1.0, float(value), float(flux), tol=tol,
-                    value_cap=value_cap,
+    sol = solve_ivp(_flux_rhs(p, n, sink, alpha, q), SEED_RADIUS, 1.0,
+                    float(value), float(flux), tol=tol, value_cap=value_cap,
                     stop_on_nonpositive=stop_on_nonpositive)
     return FluxTrajectory(p=p, n=n, u0=u0, amp=amp, rs=sol.t,
                           values=sol.y[0], fluxes=sol.y[1], status=sol.status,
                           _steps=sol.steps, _stages=sol.stages)
+
+
+def _flux_rhs(p: float, n: int, sink: float, alpha: float, q: float):
+    """(u', F') as one closure call per stage: u' from F, and
+    F' = r^(n-1) (u+^(p-1) - sink r^alpha u+^(q-1)).
+
+    At p = 2 both powers 1/(p-1) and p-1 are 1.0, and IEEE pow(x, 1.0) is
+    x, so they are skipped; copysign(|F|/r^(n-1), F) is F/r^(n-1) exactly.
+    """
+    nm1, pm1, qm1, inv_exp = n - 1, p - 1.0, q - 1.0, 1.0 / (p - 1.0)
+    linear = p == 2.0
+
+    def rhs(r, u, flux):
+        rn = r ** nm1
+        # Trial steps may poke below zero; fractional powers need u >= 0.
+        w = u if u > 0.0 else 0.0
+        source = w if linear else w ** pm1
+        if sink:  # 0 * inf would be NaN where a stage state overflowed
+            source -= sink * r ** alpha * w ** qm1
+        df = rn * source
+        if df != df:  # inf - inf where a stage state overflowed
+            raise IntegrationError(
+                f"flux right-hand side returned {df!r} at r={r:.6g}",
+                last_radius=r)
+        return (flux / rn if linear
+                else math.copysign((abs(flux) / rn) ** inv_exp, flux)), df
+
+    return rhs
 
 
 def step_quadrature(traj: FluxTrajectory):

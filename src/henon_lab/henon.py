@@ -21,10 +21,13 @@ blow up before r = 1 are mapped to continuous surrogate residuals so the
 root-finder sees a sign change.  Where the residual is known to change
 sign once (`one_root_span`), the bracket grows centre-out from the
 large-alpha prediction c: one trial at c, one at 2c or c/2 as the
-residual's sign points, then 4x wider per expansion.  Elsewhere (alpha < 5,
-or large q - p) it can change sign three or five times, so sixteen trials
-scan [c/10, 10c], every sign change is solved, and the root of least mu is
-the ground state.  Trials far from the root run at a relaxed tolerance,
+residual's sign points, then 4x wider per expansion.  There Brent runs on
+the scale-free residual F(1)/(2d)^(p-1): F(1) itself grows like d^(p-1),
+by 2^(p-1) across the first bracket, which slows the secant and
+inverse-quadratic steps.  Elsewhere (alpha < 5, or large q - p) the
+residual can change sign three or five times, so sixteen trials scan
+[c/10, 10c], every sign change is solved on F(1), and the root of least mu
+is the ground state.  Trials far from the root run at a relaxed tolerance,
 trials near it at the full one, and the full-tolerance trial at Brent's
 root is kept as the profile: no trial is integrated twice at full
 tolerance.  Its norm and mu are integrated on its own steps
@@ -58,13 +61,19 @@ __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
 # absolute cutoff would misclassify the solution itself.
 _CAP_FACTOR = 1e6
 
-# Brent accepts an origin value once |F(1)| <= _FLUX_TOL (a+b)^(p-1) on the
-# bracket [a, b]: the flux of the trial scales like d^(p-1).
+# The flux of the trial from d scales like d^(p-1): with w = d y,
+# F(1; d) = d^(p-1) G(d^(q-p)).  On the centre-out path Brent runs on the
+# scale-free residual g(d) = F(1) / (2d)^(p-1), which has the sign and the
+# root of F(1), and accepts an origin value once |g| <= _RESIDUAL_TOL.  On
+# the scan path it runs on F(1) and stops once |F(1)| <= _FLUX_TOL (a+b)^(p-1)
+# on the bracket [a, b].  At alpha = 0, n = 4, a stop of 1e-9 on g left the
+# constant profile's d0 = 1 off by 2.4e-8, and 3e-10 by 1e-12.
+_RESIDUAL_TOL = 3e-10
 _FLUX_TOL = 1e-9
 # Trials away from the root run at max(tol, _RELAXED_TOL).  On the
-# centre-out path such a residual F is used only where
-# |F| > _RELAXED_FLOOR (2d)^(p-1): within one_root_span the relaxed error
-# stayed below 1.1e-6 of that flux scale wherever |F| < 1e-2 of it.
+# centre-out path such a residual g is used only where |g| > _RELAXED_FLOOR:
+# within one_root_span the relaxed error stayed below 1.1e-6 of the flux
+# scale (2d)^(p-1) wherever |g| < 1e-2.
 _RELAXED_TOL = 1e-8
 _RELAXED_FLOOR = 1e-4
 _SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
@@ -135,25 +144,13 @@ def _flux_coeff(n: int, p: float, q: float, alpha: float, d: float) -> float:
             - d ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
 
 
-def _source_factory(p: float, q: float, alpha: float):
-    pm1, qm1 = p - 1.0, q - 1.0
-
-    def source(r, w):
-        # Trial steps may poke below zero; fractional powers need w >= 0.
-        w = w if w > 0.0 else 0.0
-        return w ** pm1 - r ** alpha * w ** qm1
-
-    return source
-
-
 def _trial(n, p, q, alpha, d, tol):
     # d^(q-1) can overflow far above the root; the coefficient then comes
     # out non-finite and the integrator raises IntegrationError on it.
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _flux_coeff(n, p, q, alpha, np.float64(d))
-    return integrate_flux_ode(_source_factory(p, q, alpha), d, coeff,
-                              p=p, n=n, tol=tol,
-                              value_cap=_CAP_FACTOR * max(1.0, d),
+    return integrate_flux_ode(d, coeff, p=p, n=n, sink=1.0, alpha=alpha, q=q,
+                              tol=tol, value_cap=_CAP_FACTOR * max(1.0, d),
                               stop_on_nonpositive=True)
 
 
@@ -300,19 +297,19 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
                          grid=grid, diagnostics=diagnostics)
 
 
-def _root(p, miss, full_miss, kept, bracket):
+def _root(miss, full_miss, kept, bracket, f_tol):
     """Brent on one bracket; returns the root and the full-tolerance trial
     there.  `kept` maps the origin value of the last full-tolerance trial
     to its trajectory, and `full_miss` runs one."""
     a, b, fa, fb = bracket
     # The quotient is stationary at the root, so mu is quadratically
-    # insensitive to the leftover error in d.  The stop is judged against
-    # the flux scale d^(p-1), since a wide bracket makes the endpoint
-    # residuals arbitrarily large; but where close roots flatten the
-    # residual, 1e-6 of the endpoint residuals is the tighter test.
+    # insensitive to the leftover error in d.  f_tol is scale-free (a bound
+    # on g, or on F(1) relative to (a+b)^(p-1)), since a wide bracket makes
+    # the endpoint residuals arbitrarily large; but where close roots
+    # flatten the residual, 1e-6 of the endpoint residuals is the tighter
+    # test.
     d0 = brent_root(miss, a, b,
-                    f_tol=min(_FLUX_TOL * (a + b) ** (p - 1.0),
-                              1e-6 * max(abs(fa), abs(fb))),
+                    f_tol=min(f_tol, 1e-6 * max(abs(fa), abs(fb))),
                     x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
     if d0 not in kept:  # a bracket end, a relaxed trial or an earlier point
         full_miss(d0)
@@ -325,15 +322,18 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     """Shoot for the ground state and package profile, mu, and diagnostics.
 
     Within `one_root_span` the bracket starts at the large-alpha
-    prediction c and steps outward until the residual changes sign.
-    Every trial there, bracket step or Brent evaluation, first runs at the
-    relaxed tolerance max(tol, 1e-8); its residual counts only while it
-    exceeds 1e-4 (2d)^(p-1), about 100 times the relaxed integration error
-    near the root.  The first residual below that floor is re-run at
-    `tol`, and so is every later trial of the solve, so Brent's stop test
-    only ever sees full-tolerance values.  Beyond the span, sixteen trials
-    at the relaxed tolerance scan [c/10, 10c] geometrically, and Brent
-    solves each sign change at `tol`; the root of least mu is returned,
+    prediction c and steps outward until the residual changes sign; the
+    residual there is the scale-free g(d) = F(1)/(2d)^(p-1), and Brent
+    stops at |g| <= 3e-10.  Every trial there, bracket step or Brent
+    evaluation, first runs at the relaxed tolerance max(tol, 1e-8); its
+    residual counts only while |g| exceeds 1e-4, about 100 times the
+    relaxed integration error near the root.  The first residual below
+    that floor is re-run at `tol`, and so is every later trial of the
+    solve, so Brent's stop test only ever sees full-tolerance values.
+    Beyond the span, sixteen trials at the relaxed tolerance scan
+    [c/10, 10c] geometrically, and Brent solves each sign change of F(1)
+    at `tol`, stopping at |F(1)| <= 1e-9 (a+b)^(p-1) on the bracket
+    [a, b]; the root of least mu is returned,
     and "competing_roots" lists them all when there are several.  On both
     paths the profile is the full-tolerance trial at Brent's root, and
     "trials" counts every integration.  mu, d0 and norm_w come from that
@@ -365,13 +365,15 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
         return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept)
 
     def centre_miss(d):
+        # The scale follows the trial, so a trial that overflows raises
+        # IntegrationError before (2d)^(p-1) can raise OverflowError.
         nonlocal full
         if not full:
-            f = relaxed_miss(d)
-            if abs(f) > _RELAXED_FLOOR * (2.0 * d) ** (p - 1.0):
-                return f
+            g = relaxed_miss(d) / (2.0 * d) ** (p - 1.0)
+            if abs(g) > _RELAXED_FLOOR:
+                return g
             full = True
-        return full_miss(d)
+        return full_miss(d) / (2.0 * d) ** (p - 1.0)
 
     if scan:
         bracket_miss, root_miss = relaxed_miss, full_miss
@@ -400,7 +402,9 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
 
     candidates, early = [], None
     for bracket in brackets:
-        d0, final = _root(p, root_miss, full_miss, kept, bracket)
+        f_tol = (_FLUX_TOL * (bracket[0] + bracket[1]) ** (p - 1.0) if scan
+                 else _RESIDUAL_TOL)
+        d0, final = _root(root_miss, full_miss, kept, bracket, f_tol)
         if final.status != "completed":  # spurious crossing of a surrogate
             early = ConvergenceError(
                 f"profile at the fitted origin value {d0:.8g} terminated "

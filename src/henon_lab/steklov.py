@@ -35,11 +35,8 @@ def _validate(n: int, p: float) -> None:
 
 
 def _shoot(n: int, p: float, tol: float):
-    def source(r, u):
-        return u ** (p - 1.0)
-
     # Homogeneity: the origin value is arbitrary, 1.0 keeps magnitudes tame.
-    return integrate_flux_ode(source, 1.0, 1.0 / n, p=p, n=n, tol=tol)
+    return integrate_flux_ode(1.0, 1.0 / n, p=p, n=n, tol=tol)
 
 
 def _boundary_quotient(end: FluxState, n: int, p: float, tol: float) -> float:

@@ -252,6 +252,9 @@ def test_sweep(tmp_path):
             {"n": 4},
             {"n": 4.9, "p": 2.0, "q": 2.5, "alpha": 5.0},
             {"n": True, "p": 2.0, "q": 2.5, "alpha": 5.0},
+            {"n": 4, "p": True, "q": 2.5, "alpha": 5.0},
+            {"n": 4, "p": 2.0, "q": False, "alpha": 5.0},
+            {"n": 4, "p": 2.0, "q": 2.5, "alpha": True},
         ],
         "refinement": 5,
         "parallelism": 2,
@@ -263,7 +266,7 @@ def test_sweep(tmp_path):
     assert proc.returncode == 0
     rec = record_of(proc)
     points = rec["results"]["points"]
-    assert len(points) == 6
+    assert len(points) == 9
     # Output order follows the config regardless of parallelism.
     assert points[0]["point"]["q"] == 2.5
     assert points[1]["point"]["q"] == 3.0
@@ -279,11 +282,20 @@ def test_sweep(tmp_path):
         assert entry["error"]["type"] == "ValueError"
         message = entry["error"]["message"]
         assert f"n must be an integer, got {shown}" in message
+    # Nor is a boolean p, q or alpha read as 1.0 or 0.0.
+    for entry, (key, shown) in zip(points[6:], [("p", "True"), ("q", "False"),
+                                                 ("alpha", "True")]):
+        assert entry["error"]["type"] == "ValueError"
+        message = entry["error"]["message"]
+        assert f"{key} must be a number, got {shown}" in message
 
-    # A bad refinement or tol stops the sweep before any point runs.
+    # A bad refinement, tol or parallelism stops the sweep before any point
+    # runs; only invalid parallelism values appear, so no pool starts.
     point = {"n": 4, "p": 2.0, "q": 2.5, "alpha": 5.0}
     for key, value in [("refinement", 6.7), ("refinement", True),
-                       ("tol", math.nan), ("tol", math.inf), ("tol", 0.0)]:
+                       ("tol", math.nan), ("tol", math.inf), ("tol", 0.0),
+                       ("tol", True), ("parallelism", 1.7),
+                       ("parallelism", True), ("parallelism", 0)]:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"points": [point], key: value}))
         out = io.StringIO()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,20 +13,15 @@ from henon_lab.flux_ode import (SEED_RADIUS, grad_from_flux,
                                 integrate_flux_ode)
 
 
-def _linear(r, u):
-    """Source of (r^(n-1) u')' = r^(n-1) u."""
-    return u
-
-
 def test_seed_validation():
     with pytest.raises(ValueError, match="p must exceed 1"):
-        integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=1.0, n=3)
+        integrate_flux_ode(1.0, 1.0 / 3, p=1.0, n=3)
     with pytest.raises(ValueError, match="n must be"):
-        integrate_flux_ode(_linear, 1.0, 1.0 / 2, p=2.0, n=2)
+        integrate_flux_ode(1.0, 1.0 / 2, p=2.0, n=2)
     with pytest.raises(ValueError, match="positive"):
-        integrate_flux_ode(_linear, -1.0, 1.0 / 3, p=2.0, n=3)
+        integrate_flux_ode(-1.0, 1.0 / 3, p=2.0, n=3)
     with pytest.raises(ValueError, match="tolerance"):
-        integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=0.0)
+        integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=0.0)
 
 
 def test_seed_window_validation():
@@ -33,8 +29,8 @@ def test_seed_window_validation():
     # positive is refused.
     for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
-            integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=tol)
-    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3)
+            integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=tol)
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3)
     assert traj.status == "completed"
     assert traj.rs[0] == SEED_RADIUS and traj.end.radius == 1.0
 
@@ -43,7 +39,7 @@ def test_seed_window_validation():
 def test_non_finite_flux_coefficient_is_an_integration_error(coeff):
     # henon._trial passes the coefficient on when d^(q-1) overflows.
     with pytest.raises(IntegrationError, match="not finite"):
-        integrate_flux_ode(_linear, 1.0, coeff, p=2.5, n=3)
+        integrate_flux_ode(1.0, coeff, p=2.5, n=3)
 
 
 def test_grad_from_flux_roundtrip():
@@ -58,7 +54,7 @@ def test_grad_from_flux_roundtrip():
 def test_sinh_profile_n3_p2():
     # (r^2 u')' = r^2 u with u bounded at 0 has u = u0 sinh(r)/r, hence
     # u(1) = u0 sinh(1) and F(1) = r^2 u'|_1 = u0 (cosh 1 - sinh 1).
-    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
     assert traj.status == "completed"
     end = traj.end
     assert abs(end.value - 1.1752011936438014) < 1e-9
@@ -66,7 +62,7 @@ def test_sinh_profile_n3_p2():
 
 
 def test_dense_output_tracks_solution():
-    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
     r = np.linspace(0.05, 1.0, 40)
     assert np.max(np.abs(traj.value_at(r) - np.sinh(r) / r)) < 1e-9
     exact_grad = (np.cosh(r) * r - np.sinh(r)) / r ** 2
@@ -77,7 +73,7 @@ def test_dense_output_is_built_once_on_first_evaluation():
     # A run keeps its steps as recorded; the quartic coefficients are built
     # on the first query, replace the stage derivatives, and serve every
     # later query.
-    traj = integrate_flux_ode(_linear, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-8)
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=1e-8)
     assert traj._coef is None
     assert len(traj._steps) == len(traj._stages) == traj.rs.size - 1
     first = traj.value_at(0.5)
@@ -87,11 +83,8 @@ def test_dense_output_is_built_once_on_first_evaluation():
 
 
 def test_value_cap_terminates():
-    # u' = u / r^(n-1) style blow-up: force it with an aggressive source.
-    def source(r, u):
-        return 50.0 * u
-
-    traj = integrate_flux_ode(source, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-9,
+    # Blow-up: a negative sink makes the source 50 u.
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, sink=-49.0, tol=1e-9,
                               value_cap=10.0)
     assert traj.status == "capped"
     assert abs(traj.end.value) <= 10.0 * (1.0 + 1e-8)
@@ -99,19 +92,18 @@ def test_value_cap_terminates():
 
 
 def test_zero_crossing_terminates():
-    # A strong sink drives u through zero before r = 1.
-    def source(r, u):
-        return -200.0
-
-    traj = integrate_flux_ode(source, 1.0, 1.0 / 3, p=2.0, n=3, tol=1e-9,
+    # A strong sink, source -200 u, drives u = sin(kr)/(kr), k = 200^(1/2),
+    # through zero at r = pi/k before r = 1.
+    traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, sink=201.0, tol=1e-9,
                               stop_on_nonpositive=True)
     assert traj.status == "hit_zero"
     assert abs(traj.end.value) < 1e-8
+    assert abs(traj.end.radius - math.pi / 200 ** 0.5) < 1e-6
 
 
 def test_trajectory_splices_the_series_below_seed():
     p, n = 2.5, 4
-    traj = integrate_flux_ode(_linear, 1.0, 1.0 / n, p=p, n=n, tol=1e-10)
+    traj = integrate_flux_ode(1.0, 1.0 / n, p=p, n=n, tol=1e-10)
     assert traj.rs[0] == SEED_RADIUS and traj.rs[-1] == 1.0
     value_fn, grad_fn = traj.value_at, traj.grad_at
     r = np.array([0.0, 1e-6, 5e-5, 2e-4, 0.5, 1.0])
@@ -124,6 +116,82 @@ def test_trajectory_splices_the_series_below_seed():
     # The startup gradient follows r^(1/(p-1)) with the flux coefficient.
     expect = (1.0 / n) ** (1.0 / (p - 1.0)) * (5e-5) ** (1.0 / (p - 1.0))
     assert abs(grad_fn(5e-5) - expect) / expect < 1e-10
+
+
+def _source(p, sink, alpha, q):
+    """The source s(r, u) of the family, as henon (sink = 1) and steklov
+    (sink = 0) stated it before the family moved into flux_ode."""
+    if sink == 0.0:
+        return lambda r, u: u ** (p - 1.0)
+    pm1, qm1 = p - 1.0, q - 1.0
+
+    def source(r, w):
+        # Trial steps may poke below zero; fractional powers need w >= 0.
+        w = w if w > 0.0 else 0.0
+        return w ** pm1 - r ** alpha * w ** qm1
+
+    return source
+
+
+def _reference_rhs(p, n, source):
+    """The (u', F') closure as flux_ode built it around a source callable."""
+    inv_exp = 1.0 / (p - 1.0)
+    nm1 = n - 1
+
+    def rhs(r, u, flux):
+        rn = r ** nm1
+        df = rn * source(r, u)
+        if df != df or type(df) is complex:
+            raise IntegrationError(
+                f"flux right-hand side returned {df!r} at r={r:.6g}",
+                last_radius=r)
+        return math.copysign((abs(flux) / rn) ** inv_exp, flux), df
+
+    return rhs
+
+
+def _outcome(fun, r, u, flux):
+    try:
+        return [struct.pack("<d", x) for x in fun(r, u, flux)]
+    except (ArithmeticError, IntegrationError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n, p, sink, alpha, q", [
+    (3, 2.0, 1.0, 400.0, 404.0),   # p = 2
+    (4, 2.0, 1.0, 25.0, 3.0),
+    (4, 2.5, 1.0, 25.0, 3.0),      # p > 2
+    (5, 4.5, 1.0, 5.0, 47.25),
+    (4, 3.0, 1.0, 400.0, 607.5),   # w^(q-1) overflows once w > 3.223
+    (4, 2.5, 0.0, 0.0, 2.0),       # Steklov
+    (3, 2.0, 0.0, 0.0, 2.0),
+])
+def test_fused_rhs_matches_the_source_closure_bit_for_bit(n, p, sink, alpha,
+                                                          q):
+    # One closure call per stage instead of rhs calling the source, and no
+    # ** 1.0 at p = 2 (IEEE pow(x, 1.0) is x): the same bytes, and the same
+    # exception where a stage overflows or its state is inf.  The Steklov
+    # source is compared where it was defined, u > 0.
+    fused = flux_ode._flux_rhs(p, n, sink, alpha, q)
+    reference = _reference_rhs(p, n, _source(p, sink, alpha, q))
+    rng = np.random.default_rng(11)
+    rs = np.concatenate(([SEED_RADIUS, 1.0], rng.uniform(SEED_RADIUS, 1.0,
+                                                          400)))
+    us = np.concatenate(([0.0, -0.0, -1.0, 3.3, 1e300, math.inf],
+                         rng.lognormal(0.0, 2.0, 200),
+                         -rng.lognormal(0.0, 2.0, 200)))
+    fluxes = rng.normal(size=us.size) * 10.0 ** rng.uniform(-12, 3, us.size)
+    if sink == 0.0:
+        us = np.abs(us) + 1e-3
+    outcomes = set()
+    for r, u, flux in zip(rs, us, fluxes):
+        got = _outcome(fused, float(r), float(u), float(flux))
+        assert got == _outcome(reference, float(r), float(u), float(flux)), \
+            (r, u, flux)
+        outcomes.add(got if isinstance(got, type) else bytes)
+    assert bytes in outcomes
+    if q > 600.0:
+        assert OverflowError in outcomes
 
 
 def _scipy_rk45(source, traj, p, n, tol, value_cap=None, stop=False):
@@ -163,12 +231,11 @@ def _scipy_rk45(source, traj, p, n, tol, value_cap=None, stop=False):
 
 def _henon_case(n, p, q, alpha, center_factor):
     d = center_factor * henon._initial_center(n, p, q, alpha)
-    return (henon._source_factory(p, q, alpha), d,
-            henon._flux_coeff(n, p, q, alpha, d))
+    return (1.0, alpha, q), d, henon._flux_coeff(n, p, q, alpha, d)
 
 
 def _steklov_case():
-    return (lambda r, u: u ** 1.5), 1.0, 1.0 / 4
+    return (0.0, 0.0, 2.0), 1.0, 1.0 / 4
 
 
 @pytest.mark.parametrize("case", ["steklov", "hit_zero", "capped"])
@@ -179,14 +246,15 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
     # and over 234 Henon trials step control amplified that rounding to
     # 5e-11 relative at worst, without changing a single step count.
     if case == "steklov":
-        (source, d, coeff), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
+        (family, d, coeff), p, n, tol, cap, stop = _steklov_case(), 2.5, 4, \
             1e-10, None, False
     elif case == "hit_zero":
-        source, d, coeff = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
+        family, d, coeff = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
         p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6 * d, True
     else:
-        source, d, coeff = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
+        family, d, coeff = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
         p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2 * d, True
+    sink, alpha, q = family
     runs = []
     stepper = flux_ode.solve_ivp
 
@@ -195,9 +263,10 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(flux_ode, "solve_ivp", spy)
-    traj = integrate_flux_ode(source, d, coeff, p=p, n=n, tol=tol,
-                              value_cap=cap, stop_on_nonpositive=stop)
-    ref, status = _scipy_rk45(source, traj, p, n, tol, cap, stop)
+    traj = integrate_flux_ode(d, coeff, p=p, n=n, sink=sink, alpha=alpha, q=q,
+                              tol=tol, value_cap=cap, stop_on_nonpositive=stop)
+    ref, status = _scipy_rk45(_source(p, sink, alpha, q), traj, p, n, tol,
+                              cap, stop)
     assert traj.status == status == ("completed" if case == "steklov"
                                      else case)
     assert traj.rs.size == ref.t.size
@@ -220,20 +289,18 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
     # and the trial is classified.  From d = 3.2 the solution itself
     # crosses the threshold, and the run ends as an IntegrationError.
     overflows = []
-    factory = henon._source_factory
+    stepper = flux_ode.solve_ivp
 
-    def watched(*params):
-        source = factory(*params)
-
-        def spy(r, w):
+    def watched(fun, *args, **kwargs):
+        def spy(r, u, flux):
             try:
-                return source(r, w)
+                return fun(r, u, flux)
             except OverflowError:
                 overflows.append(r)
                 raise
-        return spy
+        return stepper(spy, *args, **kwargs)
 
-    monkeypatch.setattr(henon, "_source_factory", watched)
+    monkeypatch.setattr(flux_ode, "solve_ivp", watched)
     assert henon._trial(4, 3.0, 607.5, 400.0, 3.0, 1e-8).status == "hit_zero"
     assert overflows and min(overflows) > SEED_RADIUS
     overflows.clear()
@@ -242,9 +309,9 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
     assert overflows and min(overflows) > SEED_RADIUS
 
 
-def test_complex_rhs_is_an_integration_error():
-    # The steep startup series u = 1 - 500 r^2 falls through zero near
-    # r = 0.045, and u ** 1.5 of a negative float is complex.
-    with pytest.raises(IntegrationError, match="complex|j\\)"):
-        integrate_flux_ode(lambda r, u: u ** 1.5 / r ** 2, 1.0, -1e3,
-                           p=2.0, n=3)
+def test_overflowed_stage_state_is_an_integration_error():
+    # With source u - u/2 the profile from u(0) = 1e308 passes the largest
+    # float before r = 1; a stage state of inf makes the source inf - inf,
+    # and the run ends.
+    with pytest.raises(IntegrationError, match="returned nan"):
+        integrate_flux_ode(1e308, 1e308, p=2.0, n=3, sink=0.5, q=2.0)

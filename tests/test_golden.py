@@ -46,10 +46,10 @@ REL_TOL = 1e-12
 # (trials, expansions) of the radial shooting, pinned here as well as in
 # the golden file so that regenerating it cannot move the work silently.
 SHOOT_WORK = {
-    "radial --n 4 --p 2 --q 3 --alpha 400": (6, 1),
-    "radial --n 4 --p 3 --q 3.5 --alpha 100": (8, 1),
-    "radial --n 5 --p 2.5 --q 4 --alpha 25 --oracle": (8, 1),
-    "radial --n 3 --p 2 --q 2.2 --alpha 0": (8, 1),
+    "radial --n 4 --p 2 --q 3 --alpha 400": (5, 1),
+    "radial --n 4 --p 3 --q 3.5 --alpha 100": (6, 1),
+    "radial --n 5 --p 2.5 --q 4 --alpha 25 --oracle": (7, 1),
+    "radial --n 3 --p 2 --q 2.2 --alpha 0": (7, 1),
 }
 
 

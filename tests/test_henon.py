@@ -147,8 +147,9 @@ def _integrations(monkeypatch):
 
 def test_trials_per_solve_by_p_band(monkeypatch):
     # The centre-out bracket tries 2 origin values at the prediction and
-    # Brent on the flux a few more; the old 16-point scan alone tried 16.
-    # Only trials near the root run at full tolerance.
+    # Brent on the scale-free residual a few more; the old 16-point scan
+    # alone tried 16, and Brent on the raw flux up to 13 at p > 3.  Only
+    # trials near the root run at full tolerance.
     runs = _integrations(monkeypatch)
     origins, full = {}, {}
     for n in (4, 5):
@@ -164,8 +165,8 @@ def test_trials_per_solve_by_p_band(monkeypatch):
                     full.setdefault(_band(n, p), []).append(
                         sum(tol == 1e-10 for tol, _, _ in trials))
     for band, counts in origins.items():
-        assert np.median(counts) <= 8, (band, counts)
-        assert max(counts) <= 16, (band, counts)
+        assert np.median(counts) <= 7, (band, counts)
+        assert max(counts) <= 10, (band, counts)
         assert np.median(full[band]) <= 4, (band, full[band])
 
 
@@ -174,10 +175,10 @@ GOLDEN_RADIAL = [(4, 2.0, 3.0, 400.0), (4, 3.0, 3.5, 100.0),
 # Shooting trials of one default solve at the golden radial points:
 # (relaxed integrations, full-tolerance integrations, accepted steps).
 SOLVE_WORK = {
-    (4, 2.0, 3.0, 400.0): (4, 2, 478),
-    (4, 3.0, 3.5, 100.0): (4, 4, 1113),
-    (5, 2.5, 4.0, 25.0): (5, 3, 609),
-    (3, 2.0, 2.2, 0.0): (5, 3, 41),
+    (4, 2.0, 3.0, 400.0): (3, 2, 426),
+    (4, 3.0, 3.5, 100.0): (4, 2, 722),
+    (5, 2.5, 4.0, 25.0): (4, 3, 562),
+    (3, 2.0, 2.2, 0.0): (4, 3, 35),
 }
 
 
@@ -200,9 +201,11 @@ def test_shooting_work_at_the_golden_points(monkeypatch):
 
 def test_mu_meets_the_printed_tolerance(monkeypatch):
     # `radial` states mu to max(tol, 1e-7) relative.  The reference
-    # integrates at 1e-12 and stops Brent at a flux of 1e-14 (a+b)^(p-1)
-    # on the bracket [a, b].
+    # integrates at 1e-12 and stops Brent at a scale-free residual of
+    # 1e-14 (centre-out path) or a flux of 1e-14 (a+b)^(p-1) on the bracket
+    # [a, b] (scan path).
     mus = {point: solve_henon(*point).mu for point in GOLDEN_RADIAL}
+    monkeypatch.setattr(henon, "_RESIDUAL_TOL", 1e-14)
     monkeypatch.setattr(henon, "_FLUX_TOL", 1e-14)
     for point, mu in mus.items():
         ref = solve_henon(*point, tol=1e-12).mu
@@ -303,6 +306,22 @@ def test_large_q_points_meet_the_quotient_contract():
         sol = solve_henon(*point)
         assert sol.diagnostics["mu_quotient_rel_err"] <= henon.MU_QUOTIENT_TOL
         assert abs(sol.mu - mu) <= 1e-6 * mu, (point, sol.mu)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the scan solves one root per sign change its 16 "
+                          "samples see, and a sample bracket can hold "
+                          "several roots")
+def test_scan_returns_the_least_mu_root():
+    # The scan bracket (0.7715, 1.0487) at this point holds 11 sign changes,
+    # and every root there completes with v > 0 and a quotient error below
+    # 3e-7.  Brent returns the root at d0 = 0.93666, mu = 5.175941 (the
+    # value LARGE_Q_MU pins); the root of least mu is at d0 = 0.806402,
+    # mu = 4.794199, with a quotient error of about 1e-11.  A scan that
+    # finds it passes this test; then drop the xfail mark and re-pin
+    # LARGE_Q_MU.
+    sol = solve_henon(4, 3.7, 1154.77, 100.0)
+    assert sol.mu <= 4.79420 * (1.0 + 1e-6), sol.mu
 
 
 def test_mu_does_not_depend_on_the_output_grid():
