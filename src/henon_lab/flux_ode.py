@@ -6,8 +6,9 @@ The gradient is recovered as u' = sign(F) (|F|/r^(n-1))^(1/(p-1)), which
 stays well-defined where u' vanishes and p > 2, unlike inverting |u'|^(p-2).
 
 The source s(r, u) of F' = r^(n-1) s(r, u) is u^(p-1) - sink r^alpha u^(q-1),
-given by sink, alpha and q (sink = 0 is the Steklov equation, sink = 1 the
-Henon one), and the caller gives the origin value u0 and flux coefficient c
+given by sink, alpha and q (sink = 0 is the Steklov equation; the Henon
+trials of the profile scaled by its origin value d pass sink = d^(q-p)),
+and the caller gives the origin value u0 and flux coefficient c
 (F = c r^n at leading order) of the profile.  Below SEED_RADIUS the profile
 is its startup series in r; the integration starts from the series there
 and runs to r = 1, so a
@@ -338,7 +339,7 @@ def integrate_flux_ode(u0: float, flux_coeff: float, *, p: float, n: int,
     """Integrate the profile with origin value u0 from SEED_RADIUS to r = 1.
 
     The source is s(r, u) = u+^(p-1) - sink r^alpha u+^(q-1), u+ = max(u, 0):
-    sink = 0 is the Steklov equation, sink = 1 the Henon one.  Near r = 0
+    sink = 0 is the Steklov equation, sink > 0 a Henon one.  Near r = 0
     the flux of a bounded profile is c r^n at leading order, c = flux_coeff
     (u0^(p-1)/n for the Steklov equation), so
     u(r) = u0 + sign(c) |c|^(1/(p-1)) ((p-1)/p) r^(p/(p-1)) + o(r^(p/(p-1))).

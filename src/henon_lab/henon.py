@@ -14,7 +14,12 @@ mu = ||w||_{W^1_p}^(p(q-p)/q), and the unit-norm minimizer is v = w / ||w||.
 
 The profile is found by shooting on the origin value d = w(0) (Keller's
 shooting method): integrate outward and drive the boundary flux
-F(1) = |w'(1)|^(p-2) w'(1) to zero.  The slope w'(1) = sign(F) |F|^(1/(p-1))
+F(1) = |w'(1)|^(p-2) w'(1) to zero.  Each trial integrates the scaled
+profile y = w/d (for d >= 1; w itself below), which solves the same flux
+ODE with y(0) = 1 and the sink term multiplied by d^(q-p).  On w the flux
+F ~ d^(p-1) r^n / n made the step test purely relative near the origin,
+about 90 steps per decade of r, and near q = p, where d reaches 1e300,
+w^q overflowed the quadrature.  The slope w'(1) = sign(F) |F|^(1/(p-1))
 has an infinite derivative at its root when p > 2, which slows Brent's
 method to bisection; the flux does not.  Trials that die (w hits zero) or
 blow up before r = 1 are mapped to continuous surrogate residuals so the
@@ -22,18 +27,18 @@ root-finder sees a sign change.  Where the residual is known to change
 sign once (`one_root_span`), the bracket grows centre-out from the
 large-alpha prediction c: one trial at c, one at 2c or c/2 as the
 residual's sign points, then 4x wider per expansion.  There Brent runs on
-the scale-free residual F(1)/(2d)^(p-1): F(1) itself grows like d^(p-1),
-by 2^(p-1) across the first bracket, which slows the secant and
-inverse-quadratic steps.  Elsewhere (alpha < 5, or large q - p) the
-residual can change sign three or five times, so sixteen trials scan
-[c/10, 10c], every sign change is solved on F(1), and the root of least mu
-is the ground state.  Trials far from the root run at a relaxed tolerance,
-trials near it at the full one, and the full-tolerance trial at Brent's
-root is kept as the profile: no trial is integrated twice at full
-tolerance.  Its norm and mu are integrated on its own steps
-(`flux_ode.step_quadrature`), so they do not depend on the output grid,
-and a solve whose quotient misses mu by more than MU_QUOTIENT_TOL raises
-ConvergenceError.
+the scale-free residual F(1)/(2d)^(p-1) = F_y(1)/2^(p-1), read off y:
+F(1) itself grows like d^(p-1), by 2^(p-1) across the first bracket,
+which slows the secant and inverse-quadratic steps.  Elsewhere (alpha < 5,
+or large q - p) the residual can change sign three or five times, so
+sixteen trials scan [c/10, 10c], every sign change is solved on F(1), and
+the root of least mu is the ground state.  Trials far from the root run at
+a relaxed tolerance, trials near it at the full one, and the
+full-tolerance trial at Brent's root is kept as the profile: no trial is
+integrated twice at full tolerance.  Its norm and mu are integrated on its
+own steps (`flux_ode.step_quadrature`), so they do not depend on the output
+grid, and a solve whose quotient misses mu by more than MU_QUOTIENT_TOL
+raises ConvergenceError.
 """
 from __future__ import annotations
 
@@ -55,25 +60,29 @@ __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
            "solve_henon", "SlopeReport", "derivative_asymptotics",
            "LimitPoint", "LimitReport", "limit_comparison"]
 
-# Trial profiles larger than this multiple of the origin value are classified
-# as blow-up.  The threshold must scale with d: near q = p the true origin
+# Trial profiles w larger than this multiple of max(1, d) are classified as
+# blow-up.  The threshold must scale with d: near q = p the true origin
 # value itself is astronomically large (d grows like mu^(q/(p(q-p)))), so an
-# absolute cutoff would misclassify the solution itself.
+# absolute cutoff would misclassify the solution itself.  The trials
+# integrate y = w / max(1, d) (`_trial`), on which the cap is _CAP_FACTOR.
 _CAP_FACTOR = 1e6
 
 # The flux of the trial from d scales like d^(p-1): with w = d y,
-# F(1; d) = d^(p-1) G(d^(q-p)).  On the centre-out path Brent runs on the
-# scale-free residual g(d) = F(1) / (2d)^(p-1), which has the sign and the
-# root of F(1), and accepts an origin value once |g| <= _RESIDUAL_TOL.  On
-# the scan path it runs on F(1) and stops once |F(1)| <= _FLUX_TOL (a+b)^(p-1)
-# on the bracket [a, b].  At alpha = 0, n = 4, a stop of 1e-9 on g left the
-# constant profile's d0 = 1 off by 2.4e-8, and 3e-10 by 1e-12.
+# F(1; d) = d^(p-1) F_y(1), where y(0) = 1 and y solves the flux ODE with
+# sink d^(q-p).  On the centre-out path Brent runs on the scale-free
+# residual g(d) = F(1) / (2d)^(p-1), which has the sign and the root of
+# F(1) and is read off y with no power of d formed, and accepts an origin
+# value once |g| <= _RESIDUAL_TOL.  On the scan path it runs on F(1) and
+# stops once |F(1)| <= _FLUX_TOL (a+b)^(p-1) on the bracket [a, b].  At
+# alpha = 0, n = 4, a stop of 1e-9 on g left the constant profile's d0 = 1
+# off by 2.4e-8, and 3e-10 by 1e-12.
 _RESIDUAL_TOL = 3e-10
 _FLUX_TOL = 1e-9
 # Trials away from the root run at max(tol, _RELAXED_TOL).  On the
 # centre-out path such a residual g is used only where |g| > _RELAXED_FLOOR:
-# within one_root_span the relaxed error stayed below 1.1e-6 of the flux
-# scale (2d)^(p-1) wherever |g| < 1e-2.
+# over 3,450 trials with |g| < 1e-2 of `shoot` seeds 1-8 (perfbench) the
+# relaxed error in g stayed below 1.06e-6 of the flux scale (2d)^(p-1),
+# at (5, 2, 9.834, 18.82) from d = 1.109.
 _RELAXED_TOL = 1e-8
 _RELAXED_FLOOR = 1e-4
 _SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
@@ -133,48 +142,72 @@ def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
             "it the weighted quotient loses compactness")
 
 
-def _flux_coeff(n: int, p: float, q: float, alpha: float, d: float) -> float:
-    """Startup flux coefficient c, F = c r^n, of the trial with origin value d.
-
-    The flux starts as (a - b r^alpha) r^n with a = d^(p-1)/n and
-    b = d^(q-1)/(alpha+n); keeping the sink contribution makes the seed exact
-    for the constant solution w = 1 when alpha = 0.
-    """
-    return (d ** (p - 1.0) / n
-            - d ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
-
-
 def _trial(n, p, q, alpha, d, tol):
-    # d^(q-1) can overflow far above the root; the coefficient then comes
+    """Integrate the trial from origin value d on the scaled profile
+    y = w / max(1, d).
+
+    For d >= 1, y(0) = 1 and y solves the Henon flux ODE with sink
+    lambda = d^(q-p).  Unscaled, the flux F ~ d^(p-1) r^n / n makes the
+    step test atol + rtol |F| purely relative on a degree-n power law near
+    the origin, about 90 steps per decade of r; on y the absolute part of
+    the test binds there, and a large d costs no extra steps.  Below d = 1
+    the trial is w itself: there y = w/d would exceed w, and y^(q-1) can
+    overflow where the sink term lambda y^(q-1) does not (seen at q of
+    1445 and 3000).  The startup flux coefficient keeps the sink
+    contribution, which makes the seed exact for the constant solution
+    w = 1 when alpha = 0.
+    """
+    scale = max(1.0, float(d))
+    y0 = float(d) / scale
+    # lambda can overflow far above the root; the coefficient then comes
     # out non-finite and the integrator raises IntegrationError on it.
     with np.errstate(over="ignore", invalid="ignore"):
-        coeff = _flux_coeff(n, p, q, alpha, np.float64(d))
-    return integrate_flux_ode(d, coeff, p=p, n=n, sink=1.0, alpha=alpha, q=q,
-                              tol=tol, value_cap=_CAP_FACTOR * max(1.0, d),
+        sink = np.float64(scale) ** (q - p)
+        coeff = (y0 ** (p - 1.0) / n
+                 - sink * y0 ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
+    return integrate_flux_ode(y0, float(coeff), p=p, n=n, sink=float(sink),
+                              alpha=alpha, q=q, tol=tol,
+                              value_cap=_CAP_FACTOR,
                               stop_on_nonpositive=True)
 
 
 def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
-                  tol: float = 1e-10, keep: dict | None = None) -> float:
+                  tol: float = 1e-10, keep: dict | None = None,
+                  scale_free: bool = False) -> float:
     """Boundary flux F(1) = |w'(1)|^(p-2) w'(1) of the trial from d.
 
-    A trial that dies at r* < 1 takes the slope surrogate
-    s = w'(r*) - (1 - r*) (more negative the earlier the death), one that
-    blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1), which
-    meets F(1) continuously as r* -> 1.  The residual falls through zero
-    once, and unlike w'(1) it has a finite slope in d there when p > 2.
+    The trial integrates y = w / max(1, d) (`_trial`), so for d >= 1,
+    F(1) = d^(p-1) F_y(1).  A trial that dies at r* < 1 takes the slope
+    surrogate s = w'(r*) - (1 - r*) (more negative the earlier the death),
+    one that blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1),
+    which meets F(1) continuously as r* -> 1.  The residual falls through
+    zero once, and unlike w'(1) it has a finite slope in d there when
+    p > 2.  With `scale_free` it returns g = F(1) / (2d)^(p-1) instead,
+    sign(y'(1)) |y'(1)/2|^(p-1) = F_y(1) / 2^(p-1) for d >= 1, read off y
+    with no power of d formed.  A residual beyond the float range raises
+    IntegrationError.
     A dict passed as `keep` receives the trial's trajectory under d.
     """
     traj = _trial(n, p, q, alpha, d, tol)
     if keep is not None:
         keep[d] = traj
-    end = traj.end
-    if traj.status == "completed":
-        return end.flux
+    end, scale = traj.end, max(1.0, float(d))
+    # s / (2d) = (y'(r*) -+ (1 - r*) / scale) / (2 y(0)); s = w'(1) if the
+    # trial completes, where F(1) = sign(s) |s|^(p-1).
     slope = float(grad_from_flux(end.flux, end.radius, p, n))
-    s = slope - (1.0 - end.radius) if traj.status == "hit_zero" \
-        else slope + (1.0 - end.radius)
-    return math.copysign(abs(s) ** (p - 1.0), s)
+    gap = (1.0 - end.radius) / scale
+    half = (slope - gap if traj.status == "hit_zero"
+            else slope + gap) / (2.0 * traj.u0)
+    try:
+        g = math.copysign(abs(half) ** (p - 1.0), half)
+        flux = g if scale_free else g * (2.0 * float(d)) ** (p - 1.0)
+    except OverflowError:
+        flux = math.inf
+    if not math.isfinite(flux):
+        raise IntegrationError(
+            f"shooting residual of the trial from origin value {d:.6g} is "
+            "outside the float range", last_radius=end.radius)
+    return flux
 
 
 def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
@@ -249,28 +282,30 @@ class HenonSolution:
 
 
 def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
-    """Package the completed trial `traj` from origin value d0 as v.
+    """Package the completed trial `traj`, the profile y = w / max(1, d0),
+    as v.
 
-    N = int (|w'|^p + w^p) r^(n-1) and D = int r^(alpha+n-1) w^q are
+    N = int (|y'|^p + y^p) r^(n-1) and D = int r^(alpha+n-1) y^q are
     integrated by `step_quadrature` on the trial's own steps; the grid only
-    tabulates v.  mu = ||w||^(p(q-p)/q) = (|S| N)^((q-p)/q) and the
-    quotient |S|^(1-p/q) N / D^(p/q) are the same number for the exact
-    profile, since Q(w) = mu rests on the weak form; their relative gap,
-    "mu_quotient_rel_err", checks quadrature and the boundary residual at
-    once.  A gap above MU_QUOTIENT_TOL, or one that is not finite, raises
-    ConvergenceError.
+    tabulates v = y / ||y||.  The quotient |S|^(1-p/q) N / D^(p/q) does not
+    depend on the scale of the profile, and ||w|| = max(1, d0) ||y||; then
+    mu = ||w||^(p(q-p)/q) and the quotient are the same number for the
+    exact profile, since Q(w) = mu rests on the weak form; their relative
+    gap, "mu_quotient_rel_err", checks quadrature and the boundary residual
+    at once.  A gap above MU_QUOTIENT_TOL, or one that is not finite (as
+    where ||w|| overflows), raises ConvergenceError.
     """
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
-    wq = np.maximum(traj.value_at(rq), 0.0)
-    dwq = traj.grad_at(rq)
-    # An overflowing or underflowing profile is caught by the finiteness
-    # check below; the sums stay numpy floats, so D = 0 gives inf, not an
-    # exception.
+    yq = np.maximum(traj.value_at(rq), 0.0)
+    dyq = traj.grad_at(rq)
+    # An overflowing profile is caught by the finiteness check below; the
+    # sums stay numpy floats, so D = 0 gives inf, not an exception.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num_int = np.dot(weights, (np.abs(dwq) ** p + wq ** p) * rq ** (n - 1))
-        den_int = np.dot(weights, rq ** (alpha + n - 1) * wq ** q)
-        norm_w = (meas * num_int) ** (1.0 / p)
+        num_int = np.dot(weights, (np.abs(dyq) ** p + yq ** p) * rq ** (n - 1))
+        den_int = np.dot(weights, rq ** (alpha + n - 1) * yq ** q)
+        norm_y = (meas * num_int) ** (1.0 / p)
+        norm_w = np.float64(max(1.0, d0)) * norm_y
         mu = norm_w ** (p * (q - p) / q)
         mu_quotient = meas ** (1.0 - p / q) * num_int / den_int ** (p / q)
         rel_err = abs(mu_quotient - mu) / mu
@@ -283,7 +318,7 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
             f"profile at origin value {d0:.8g} gave mu = {mu:.10g} with "
             f"quotient error {rel_err:.3g}, above {MU_QUOTIENT_TOL:g}")
 
-    inv = 1.0 / norm_w
+    inv = 1.0 / norm_y
     v = RadialFunction(grid, inv * traj.value_at(grid.nodes),
                        inv * traj.grad_at(grid.nodes),
                        _value_fn=lambda r: inv * traj.value_at(r),
@@ -356,24 +391,24 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     def relaxed_miss(d):
         nonlocal trials
         trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=relaxed)
+        return shooting_miss(n, p, q, alpha, d, tol=relaxed,
+                             scale_free=not scan)
 
     def full_miss(d):
         nonlocal trials
         trials += 1
         kept.clear()  # Brent's root is nearly always its last trial
-        return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept)
+        return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept,
+                             scale_free=not scan)
 
     def centre_miss(d):
-        # The scale follows the trial, so a trial that overflows raises
-        # IntegrationError before (2d)^(p-1) can raise OverflowError.
         nonlocal full
         if not full:
-            g = relaxed_miss(d) / (2.0 * d) ** (p - 1.0)
+            g = relaxed_miss(d)
             if abs(g) > _RELAXED_FLOOR:
                 return g
             full = True
-        return full_miss(d) / (2.0 * d) ** (p - 1.0)
+        return full_miss(d)
 
     if scan:
         bracket_miss, root_miss = relaxed_miss, full_miss

@@ -37,7 +37,8 @@ def test_seed_window_validation():
 
 @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
 def test_non_finite_flux_coefficient_is_an_integration_error(coeff):
-    # henon._trial passes the coefficient on when d^(q-1) overflows.
+    # henon._trial passes the coefficient on when its sink d^(q-p)
+    # overflows.
     with pytest.raises(IntegrationError, match="not finite"):
         integrate_flux_ode(1.0, coeff, p=2.5, n=3)
 
@@ -120,7 +121,8 @@ def test_trajectory_splices_the_series_below_seed():
 
 def _source(p, sink, alpha, q):
     """The source s(r, u) of the family, as henon (sink = 1) and steklov
-    (sink = 0) stated it before the family moved into flux_ode."""
+    (sink = 0) stated it before the family moved into flux_ode, with the
+    sink factor of henon's scaled trials written in (1.0 * x is x)."""
     if sink == 0.0:
         return lambda r, u: u ** (p - 1.0)
     pm1, qm1 = p - 1.0, q - 1.0
@@ -128,7 +130,7 @@ def _source(p, sink, alpha, q):
     def source(r, w):
         # Trial steps may poke below zero; fractional powers need w >= 0.
         w = w if w > 0.0 else 0.0
-        return w ** pm1 - r ** alpha * w ** qm1
+        return w ** pm1 - sink * r ** alpha * w ** qm1
 
     return source
 
@@ -230,8 +232,13 @@ def _scipy_rk45(source, traj, p, n, tol, value_cap=None, stop=False):
 
 
 def _henon_case(n, p, q, alpha, center_factor):
+    """The scaled trial y = w/d from d = center_factor c, as henon._trial
+    integrates it: y(0) = 1 and sink d^(q-p)."""
     d = center_factor * henon._initial_center(n, p, q, alpha)
-    return (1.0, alpha, q), d, henon._flux_coeff(n, p, q, alpha, d)
+    assert d >= 1.0
+    sink = d ** (q - p)
+    coeff = 1.0 / n - sink / (alpha + n) * SEED_RADIUS ** alpha
+    return (sink, alpha, q), 1.0, coeff
 
 
 def _steklov_case():
@@ -250,10 +257,10 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
             1e-10, None, False
     elif case == "hit_zero":
         family, d, coeff = _henon_case(4, 2.0, 3.0, 25.0, 316.0)
-        p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6 * d, True
+        p, n, tol, cap, stop = 2.0, 4, 1e-8, 1e6, True
     else:
         family, d, coeff = _henon_case(5, 2.5, 4.0, 25.0, 1.0)
-        p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2 * d, True
+        p, n, tol, cap, stop = 2.5, 5, 1e-10, 1.2, True
     sink, alpha, q = family
     runs = []
     stepper = flux_ode.solve_ivp
@@ -283,11 +290,14 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
 
 
 def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
-    # At q = 607.5, w^(q-1) overflows once w > 3.223.  From d = 3.0 the
-    # trial's largest value is 3.08, but trial stages overshoot past the
+    # At q = 607.5 the trial from d >= 1 integrates y = w/d with sink
+    # d^(q-p), and y^(q-1) overflows once y > 3.223.  From d = 3.0 the
+    # trial's largest value is y = 1.03, but trial stages overshoot past the
     # threshold in mid-integration; those steps are rejected and shrunk,
-    # and the trial is classified.  From d = 3.2 the solution itself
-    # crosses the threshold, and the run ends as an IntegrationError.
+    # and the trial is classified.  So is the trial from d = 3.2, where
+    # w = d y passes 3.223 but y stays below 1.03.  The run ends as an
+    # IntegrationError only where the sink itself overflows (d > 3.236),
+    # at the seed.
     overflows = []
     stepper = flux_ode.solve_ivp
 
@@ -301,12 +311,15 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
         return stepper(spy, *args, **kwargs)
 
     monkeypatch.setattr(flux_ode, "solve_ivp", watched)
-    assert henon._trial(4, 3.0, 607.5, 400.0, 3.0, 1e-8).status == "hit_zero"
-    assert overflows and min(overflows) > SEED_RADIUS
+    for d in (3.0, 3.2):
+        overflows.clear()
+        assert henon._trial(4, 3.0, 607.5, 400.0, d, 1e-8).status \
+            == "hit_zero"
+        assert overflows and min(overflows) > SEED_RADIUS
     overflows.clear()
-    with pytest.raises(IntegrationError, match="stalled"):
-        henon._trial(4, 3.0, 607.5, 400.0, 3.2, 1e-8)
-    assert overflows and min(overflows) > SEED_RADIUS
+    with pytest.raises(IntegrationError, match="seed state .* not finite"):
+        henon._trial(4, 3.0, 607.5, 400.0, 3.24, 1e-8)
+    assert not overflows
 
 
 def test_overflowed_stage_state_is_an_integration_error():

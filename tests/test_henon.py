@@ -130,18 +130,18 @@ def _band(n, p):
 
 
 def _integrations(monkeypatch):
-    """(tol, seed state, accepted steps) of every `solve_ivp` run from now
-    on.  The first run of a solve is the Steklov shot behind the
-    prediction; every later one is a shooting trial."""
+    """(tol, origin value, accepted steps) of every shooting trial from now
+    on.  A trial from d >= 1 integrates y = w/d from the same seed state
+    as every other such trial, so trials are told apart by d."""
     runs = []
-    stepper = flux_ode.solve_ivp
+    trial = henon._trial
 
-    def spy(fun, r0, r_end, u0, flux0, **kwargs):
-        sol = stepper(fun, r0, r_end, u0, flux0, **kwargs)
-        runs.append((kwargs["tol"], (u0, flux0), int(sol.t.size) - 1))
-        return sol
+    def spy(n, p, q, alpha, d, tol):
+        traj = trial(n, p, q, alpha, d, tol)
+        runs.append((tol, d, int(traj.rs.size) - 1))
+        return traj
 
-    monkeypatch.setattr(flux_ode, "solve_ivp", spy)
+    monkeypatch.setattr(henon, "_trial", spy)
     return runs
 
 
@@ -158,12 +158,11 @@ def test_trials_per_solve_by_p_band(monkeypatch):
                 for dq in (0.1, 2.0):
                     runs.clear()
                     sol = solve_henon(n, p, p + dq, alpha, refinement=5)
-                    trials = runs[1:]
-                    assert len(trials) == sol.diagnostics["trials"]
+                    assert len(runs) == sol.diagnostics["trials"]
                     origins.setdefault(_band(n, p), []).append(
-                        len({seed for _, seed, _ in trials}))
+                        len({d for _, d, _ in runs}))
                     full.setdefault(_band(n, p), []).append(
-                        sum(tol == 1e-10 for tol, _, _ in trials))
+                        sum(tol == 1e-10 for tol, _, _ in runs))
     for band, counts in origins.items():
         assert np.median(counts) <= 7, (band, counts)
         assert max(counts) <= 10, (band, counts)
@@ -175,10 +174,17 @@ GOLDEN_RADIAL = [(4, 2.0, 3.0, 400.0), (4, 3.0, 3.5, 100.0),
 # Shooting trials of one default solve at the golden radial points:
 # (relaxed integrations, full-tolerance integrations, accepted steps).
 SOLVE_WORK = {
-    (4, 2.0, 3.0, 400.0): (3, 2, 426),
-    (4, 3.0, 3.5, 100.0): (4, 2, 722),
-    (5, 2.5, 4.0, 25.0): (4, 3, 562),
+    (4, 2.0, 3.0, 400.0): (3, 2, 304),
+    (4, 3.0, 3.5, 100.0): (4, 2, 432),
+    (5, 2.5, 4.0, 25.0): (4, 3, 494),
     (3, 2.0, 2.2, 0.0): (4, 3, 35),
+}
+# Radii of the root trial (accepted steps + 1), "ode_steps": at d0 = 1.2e10
+# and at d0 = 1.71.  On the unscaled profile w they were 498 and 108: the
+# flux ~ d^(p-1) r^n / n held the step test relative near the origin.
+ROOT_STEPS = {
+    (6, 4.046719675909051, 4.144259316177739, 65.8519232974908): 164,
+    (5, 2.5, 4.0, 10.0): 102,
 }
 
 
@@ -190,13 +196,17 @@ def test_shooting_work_at_the_golden_points(monkeypatch):
     for point in GOLDEN_RADIAL:
         runs.clear()
         sol = solve_henon(*point)
-        trials = runs[1:]
-        assert len(trials) == sol.diagnostics["trials"]
-        full = [seed for tol, seed, _ in trials if tol == 1e-10]
+        assert len(runs) == sol.diagnostics["trials"]
+        full = [d for tol, d, _ in runs if tol == 1e-10]
         assert len(set(full)) == len(full), point
-        work = (len(trials) - len(full), len(full),
-                sum(steps for _, _, steps in trials))
+        work = (len(runs) - len(full), len(full),
+                sum(steps for _, _, steps in runs))
         assert work == SOLVE_WORK[point], (point, work)
+
+
+def test_root_trial_steps_are_pinned():
+    for point, steps in ROOT_STEPS.items():
+        assert solve_henon(*point).diagnostics["ode_steps"] == steps, point
 
 
 def test_mu_meets_the_printed_tolerance(monkeypatch):
@@ -385,22 +395,46 @@ def test_every_solve_meets_its_invariants_or_raises_a_typed_error(point):
     assert np.all(sol.v.values > 0.0), point
 
 
+# Near q = p the origin value reaches 1e84-1e307; the trials integrate
+# y = w/d and the quadrature runs on y, so none of these overflows.
+NEAR_Q_EQUAL_P = [(5, 3.877, 3.897, 295.3), (3, 2.0, 2.01, 400.0),
+                  (6, 2.0, 2.006, 100.0), (6, 2.0, 2.00403, 100.0)]
+
+
+def test_near_q_equal_p_points_solve():
+    for point in NEAR_Q_EQUAL_P:
+        sol = solve_henon(*point)
+        assert sol.d0 > 1e80 and math.isfinite(sol.norm_w), point
+        assert sol.diagnostics["mu_quotient_rel_err"] <= 1e-6, point
+        assert sol.shoot_res <= 1e-8, point
+        assert np.all(sol.v.values > 0.0), point
+    # Here the root lies past the largest float: the bracket gives up.  Its
+    # trials keep a finite scale-free residual, while F(1) = g (2d)^(p-1)
+    # leaves the float range as a typed error.
+    point = (4, 3.0, 3.0011547819846895, 6.25)
+    with pytest.raises(BracketError, match="no sign change"):
+        solve_henon(*point)
+    assert math.isfinite(shooting_miss(*point, 1e299, scale_free=True))
+    with pytest.raises(IntegrationError, match="outside the float range"):
+        shooting_miss(*point, 1e299)
+
+
 def test_non_finite_quotient_is_a_convergence_error():
-    # The root lands near d0 = 1e84, where w^q overflows the quadrature;
+    # The root lands at d0 = 1.2e308, and ||w|| = d0 ||y|| overflows;
     # mu = inf must not be returned as a result.
     with pytest.raises(ConvergenceError, match="not finite"):
-        solve_henon(5, 3.877, 3.897, 295.3)
+        solve_henon(6, 2.0, 2.004022, 100.0)
 
 
 def test_overflowing_quadrature_raises_without_warnings():
-    # The quadrature of this profile overflows; the finiteness check must
-    # raise, with no numpy RuntimeWarning in process or on the CLI's stderr.
+    # The norm of this profile overflows; the finiteness check must raise,
+    # with no numpy RuntimeWarning in process or on the CLI's stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="not finite"):
-            solve_henon(3, 2.0, 2.01, 400.0)
-    proc = run_cli("radial", "--n", "3", "--p", "2", "--q", "2.01",
-                   "--alpha", "400")
+            solve_henon(6, 2.0, 2.004022, 100.0)
+    proc = run_cli("radial", "--n", "6", "--p", "2", "--q", "2.004022",
+                   "--alpha", "100")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] == "ConvergenceError"
     assert "Warning" not in proc.stderr
