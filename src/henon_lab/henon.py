@@ -14,26 +14,26 @@ mu = ||w||_{W^1_p}^(p(q-p)/q), and the unit-norm minimizer is v = w / ||w||.
 
 The profile is found by shooting on the origin value d = w(0) (Keller's
 shooting method): integrate outward and drive the boundary flux
-F(1) = |w'(1)|^(p-2) w'(1) to zero.  Each trial integrates the scaled
-profile y = w/d (for d >= 1; w itself below), which solves the same flux
-ODE with y(0) = 1 and the sink term multiplied by d^(q-p).  On w the flux
-F ~ d^(p-1) r^n / n made the step test purely relative near the origin,
-about 90 steps per decade of r, and near q = p, where d reaches 1e300,
-w^q overflowed the quadrature.  The slope w'(1) = sign(F) |F|^(1/(p-1))
-has an infinite derivative at its root when p > 2, which slows Brent's
-method to bisection; the flux does not.  Trials that die (w hits zero) or
-blow up before r = 1 are mapped to continuous surrogate residuals so the
-root-finder sees a sign change.  Where the residual is known to change
-sign once (`one_root_span`), the bracket grows centre-out from the
-large-alpha prediction c: one trial at c, one at 2c or c/2 as the
-residual's sign points, then 4x wider per expansion.  There Brent runs on
-the scale-free residual F(1)/(2d)^(p-1) = F_y(1)/2^(p-1), read off y:
-F(1) itself grows like d^(p-1), by 2^(p-1) across the first bracket,
-which slows the secant and inverse-quadratic steps.  Elsewhere (alpha < 5,
-or large q - p) the residual can change sign three or five times, so
-sixteen trials scan [c/10, 10c], every sign change is solved on F(1), and
-the root of least mu is the ground state.  Trials far from the root run at
-a relaxed tolerance, trials near it at the full one, and the
+F(1) = |w'(1)|^(p-2) w'(1) to zero.  Each centre-out trial (see below)
+from d >= 1 integrates the scaled profile y = w/d (below d = 1, w itself),
+which solves the same flux ODE with y(0) = 1 and the sink term multiplied
+by d^(q-p).  On w the flux F ~ d^(p-1) r^n / n made the step test purely
+relative near the origin, about 90 steps per decade of r, and near q = p,
+where d reaches 1e300, w^q overflowed the quadrature.  The slope
+w'(1) = sign(F) |F|^(1/(p-1)) has an infinite derivative at its root when
+p > 2, which slows Brent's method to bisection; the flux does not.  Trials
+that die (w hits zero) or blow up before r = 1 are mapped to continuous
+surrogate residuals so the root-finder sees a sign change.  Where the
+residual is known to change sign once (`one_root_span`), the bracket grows
+centre-out from the large-alpha prediction c: one trial at c, one at 2c or
+c/2 as the residual's sign points, then 4x wider per expansion.  There
+Brent runs on the scale-free residual F(1)/(2d)^(p-1) = F_y(1)/2^(p-1),
+read off y: F(1) itself grows like d^(p-1), by 2^(p-1) across the first
+bracket, which slows the secant and inverse-quadratic steps.  Elsewhere
+(alpha < 5, or large q - p) the residual can change sign three or five
+times, so sixteen trials of w scan [c/10, 10c], every sign change is solved
+on F(1), and the root of least mu is the ground state.  Trials far from the
+root run at a relaxed tolerance, trials near it at the full one, and the
 full-tolerance trial at Brent's root is kept as the profile: no trial is
 integrated twice at full tolerance.  Its norm and mu are integrated on its
 own steps (`flux_ode.step_quadrature`), so they do not depend on the output
@@ -63,8 +63,9 @@ __all__ = ["HenonSolution", "validate_parameters", "critical_exponent",
 # Trial profiles w larger than this multiple of max(1, d) are classified as
 # blow-up.  The threshold must scale with d: near q = p the true origin
 # value itself is astronomically large (d grows like mu^(q/(p(q-p)))), so an
-# absolute cutoff would misclassify the solution itself.  The trials
-# integrate y = w / max(1, d) (`_trial`), on which the cap is _CAP_FACTOR.
+# absolute cutoff would misclassify the solution itself.  The centre-out
+# trials integrate y = w / max(1, d) (`_trial`), on which the cap is
+# _CAP_FACTOR.
 _CAP_FACTOR = 1e6
 
 # The flux of the trial from d scales like d^(p-1): with w = d y,
@@ -142,32 +143,32 @@ def validate_parameters(n: int, p: float, q: float, alpha: float) -> None:
             "it the weighted quotient loses compactness")
 
 
-def _trial(n, p, q, alpha, d, tol):
-    """Integrate the trial from origin value d on the scaled profile
-    y = w / max(1, d).
+def _trial(n, p, q, alpha, d, tol, scale=1.0):
+    """Integrate the trial from origin value d as the profile y = w / scale.
 
-    For d >= 1, y(0) = 1 and y solves the Henon flux ODE with sink
-    lambda = d^(q-p).  Unscaled, the flux F ~ d^(p-1) r^n / n makes the
+    y(0) = d / scale, and y solves the Henon flux ODE with sink
+    lambda = scale^(q-p).  The centre-out path passes scale = max(1, d)
+    (`shooting_miss`): unscaled, the flux F ~ d^(p-1) r^n / n makes the
     step test atol + rtol |F| purely relative on a degree-n power law near
     the origin, about 90 steps per decade of r; on y the absolute part of
     the test binds there, and a large d costs no extra steps.  Below d = 1
-    the trial is w itself: there y = w/d would exceed w, and y^(q-1) can
-    overflow where the sink term lambda y^(q-1) does not (seen at q of
-    1445 and 3000).  The startup flux coefficient keeps the sink
-    contribution, which makes the seed exact for the constant solution
-    w = 1 when alpha = 0.
+    the trial is w itself, since there y = w/d would exceed w.  The scan
+    path integrates w (scale 1).  The cap keeps its meaning on every
+    scale, |w| >= _CAP_FACTOR max(1, d).  The startup flux coefficient
+    keeps the sink contribution, which makes the seed exact for the
+    constant solution w = 1 when alpha = 0.
     """
-    scale = max(1.0, float(d))
-    y0 = float(d) / scale
-    # lambda can overflow far above the root; the coefficient then comes
-    # out non-finite and the integrator raises IntegrationError on it.
+    y0 = np.float64(d) / scale
+    # The sink or y0^(q-1) can overflow far above the root; the coefficient
+    # then comes out non-finite and the integrator raises IntegrationError
+    # on it.
     with np.errstate(over="ignore", invalid="ignore"):
         sink = np.float64(scale) ** (q - p)
         coeff = (y0 ** (p - 1.0) / n
                  - sink * y0 ** (q - 1.0) / (alpha + n) * SEED_RADIUS ** alpha)
-    return integrate_flux_ode(y0, float(coeff), p=p, n=n, sink=float(sink),
-                              alpha=alpha, q=q, tol=tol,
-                              value_cap=_CAP_FACTOR,
+    return integrate_flux_ode(float(y0), float(coeff), p=p, n=n,
+                              sink=float(sink), alpha=alpha, q=q, tol=tol,
+                              value_cap=_CAP_FACTOR * (max(1.0, d) / scale),
                               stop_on_nonpositive=True)
 
 
@@ -176,38 +177,40 @@ def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
                   scale_free: bool = False) -> float:
     """Boundary flux F(1) = |w'(1)|^(p-2) w'(1) of the trial from d.
 
-    The trial integrates y = w / max(1, d) (`_trial`), so for d >= 1,
-    F(1) = d^(p-1) F_y(1).  A trial that dies at r* < 1 takes the slope
-    surrogate s = w'(r*) - (1 - r*) (more negative the earlier the death),
-    one that blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1),
-    which meets F(1) continuously as r* -> 1.  The residual falls through
-    zero once, and unlike w'(1) it has a finite slope in d there when
-    p > 2.  With `scale_free` it returns g = F(1) / (2d)^(p-1) instead,
-    sign(y'(1)) |y'(1)/2|^(p-1) = F_y(1) / 2^(p-1) for d >= 1, read off y
-    with no power of d formed.  A residual beyond the float range raises
+    A trial that dies at r* < 1 takes the slope surrogate
+    s = w'(r*) - (1 - r*) (more negative the earlier the death), one that
+    blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1), which
+    meets F(1) continuously as r* -> 1.  The residual falls through zero
+    once, and unlike w'(1) it has a finite slope in d there when p > 2.
+    With `scale_free` it returns g = F(1) / (2d)^(p-1) instead, the
+    residual of the centre-out path: the trial then integrates
+    y = w / max(1, d) (`_trial`), and g = sign(s) |s / (2d)|^(p-1) is read
+    off y with no power of d formed, s / (2d) = (y'(r*) -+ (1 - r*) /
+    max(1, d)) / (2 y(0)).  A residual beyond the float range raises
     IntegrationError.
     A dict passed as `keep` receives the trial's trajectory under d.
     """
-    traj = _trial(n, p, q, alpha, d, tol)
+    scale = max(1.0, float(d)) if scale_free else 1.0
+    traj = _trial(n, p, q, alpha, d, tol, scale)
     if keep is not None:
         keep[d] = traj
-    end, scale = traj.end, max(1.0, float(d))
-    # s / (2d) = (y'(r*) -+ (1 - r*) / scale) / (2 y(0)); s = w'(1) if the
-    # trial completes, where F(1) = sign(s) |s|^(p-1).
+    end = traj.end
+    if traj.status == "completed" and not scale_free:
+        return end.flux
     slope = float(grad_from_flux(end.flux, end.radius, p, n))
     gap = (1.0 - end.radius) / scale
-    half = (slope - gap if traj.status == "hit_zero"
-            else slope + gap) / (2.0 * traj.u0)
+    s = slope - gap if traj.status == "hit_zero" else slope + gap
+    if scale_free:
+        s /= 2.0 * traj.u0
     try:
-        g = math.copysign(abs(half) ** (p - 1.0), half)
-        flux = g if scale_free else g * (2.0 * float(d)) ** (p - 1.0)
+        res = math.copysign(abs(s) ** (p - 1.0), s)
     except OverflowError:
-        flux = math.inf
-    if not math.isfinite(flux):
+        res = math.inf
+    if not math.isfinite(res):
         raise IntegrationError(
             f"shooting residual of the trial from origin value {d:.6g} is "
             "outside the float range", last_radius=end.radius)
-    return flux
+    return res
 
 
 def _initial_center(n: int, p: float, q: float, alpha: float) -> float:
@@ -282,18 +285,18 @@ class HenonSolution:
 
 
 def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
-    """Package the completed trial `traj`, the profile y = w / max(1, d0),
-    as v.
+    """Package the completed trial `traj`, the profile y = w / scale, as v.
 
-    N = int (|y'|^p + y^p) r^(n-1) and D = int r^(alpha+n-1) y^q are
-    integrated by `step_quadrature` on the trial's own steps; the grid only
-    tabulates v = y / ||y||.  The quotient |S|^(1-p/q) N / D^(p/q) does not
-    depend on the scale of the profile, and ||w|| = max(1, d0) ||y||; then
-    mu = ||w||^(p(q-p)/q) and the quotient are the same number for the
-    exact profile, since Q(w) = mu rests on the weak form; their relative
-    gap, "mu_quotient_rel_err", checks quadrature and the boundary residual
-    at once.  A gap above MU_QUOTIENT_TOL, or one that is not finite (as
-    where ||w|| overflows), raises ConvergenceError.
+    The scale is d0 / y(0): max(1, d0) on the centre-out path, 1 on the
+    scan path (`shooting_miss`).  N = int (|y'|^p + y^p) r^(n-1) and
+    D = int r^(alpha+n-1) y^q are integrated by `step_quadrature` on the
+    trial's own steps; the grid only tabulates v = y / ||y||.  The quotient
+    |S|^(1-p/q) N / D^(p/q) does not depend on the scale of the profile,
+    and ||w|| = scale ||y||; then mu = ||w||^(p(q-p)/q) and the quotient
+    are the same number for the exact profile, since Q(w) = mu rests on the
+    weak form; their relative gap, "mu_quotient_rel_err", checks quadrature
+    and the boundary residual at once.  A gap above MU_QUOTIENT_TOL, or one
+    that is not finite (as where ||w|| overflows), raises ConvergenceError.
     """
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
@@ -305,7 +308,7 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
         num_int = np.dot(weights, (np.abs(dyq) ** p + yq ** p) * rq ** (n - 1))
         den_int = np.dot(weights, rq ** (alpha + n - 1) * yq ** q)
         norm_y = (meas * num_int) ** (1.0 / p)
-        norm_w = np.float64(max(1.0, d0)) * norm_y
+        norm_w = np.float64(d0 / traj.u0) * norm_y
         mu = norm_w ** (p * (q - p) / q)
         mu_quotient = meas ** (1.0 - p / q) * num_int / den_int ** (p / q)
         rel_err = abs(mu_quotient - mu) / mu

@@ -37,8 +37,8 @@ def test_seed_window_validation():
 
 @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
 def test_non_finite_flux_coefficient_is_an_integration_error(coeff):
-    # henon._trial passes the coefficient on when its sink d^(q-p)
-    # overflows.
+    # henon._trial passes the coefficient on when d^(q-1) or its sink
+    # d^(q-p) overflows.
     with pytest.raises(IntegrationError, match="not finite"):
         integrate_flux_ode(1.0, coeff, p=2.5, n=3)
 
@@ -290,14 +290,17 @@ def test_stepper_takes_scipy_rk45_steps(case, monkeypatch):
 
 
 def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
-    # At q = 607.5 the trial from d >= 1 integrates y = w/d with sink
-    # d^(q-p), and y^(q-1) overflows once y > 3.223.  From d = 3.0 the
-    # trial's largest value is y = 1.03, but trial stages overshoot past the
-    # threshold in mid-integration; those steps are rejected and shrunk,
-    # and the trial is classified.  So is the trial from d = 3.2, where
-    # w = d y passes 3.223 but y stays below 1.03.  The run ends as an
-    # IntegrationError only where the sink itself overflows (d > 3.236),
-    # at the seed.
+    # At q = 607.5, w^(q-1) overflows once w > 3.223.  The scan path
+    # integrates w: from d = 3.0 the trial's largest value is 3.08, but
+    # trial stages overshoot past the threshold in mid-integration; those
+    # steps are rejected and shrunk, and the trial is classified.  From
+    # d = 3.2 the solution itself crosses the threshold, and the run ends as
+    # an IntegrationError.  The centre-out path's trial from d >= 1
+    # integrates y = w/d with sink d^(q-p), where y^(q-1) overflows once
+    # y > 3.223: from both origin values y stays below 1.03, stages still
+    # overshoot, and both trials are classified; the scaled run ends as an
+    # IntegrationError only where the sink itself overflows (d > 3.236), at
+    # the seed.
     overflows = []
     stepper = flux_ode.solve_ivp
 
@@ -311,14 +314,20 @@ def test_overflowing_stage_is_rejected_not_raised(monkeypatch):
         return stepper(spy, *args, **kwargs)
 
     monkeypatch.setattr(flux_ode, "solve_ivp", watched)
+    assert henon._trial(4, 3.0, 607.5, 400.0, 3.0, 1e-8).status == "hit_zero"
+    assert overflows and min(overflows) > SEED_RADIUS
+    overflows.clear()
+    with pytest.raises(IntegrationError, match="stalled"):
+        henon._trial(4, 3.0, 607.5, 400.0, 3.2, 1e-8)
+    assert overflows and min(overflows) > SEED_RADIUS
     for d in (3.0, 3.2):
         overflows.clear()
-        assert henon._trial(4, 3.0, 607.5, 400.0, d, 1e-8).status \
+        assert henon._trial(4, 3.0, 607.5, 400.0, d, 1e-8, d).status \
             == "hit_zero"
         assert overflows and min(overflows) > SEED_RADIUS
     overflows.clear()
     with pytest.raises(IntegrationError, match="seed state .* not finite"):
-        henon._trial(4, 3.0, 607.5, 400.0, 3.24, 1e-8)
+        henon._trial(4, 3.0, 607.5, 400.0, 3.24, 1e-8, 3.24)
     assert not overflows
 
 

@@ -131,13 +131,13 @@ def _band(n, p):
 
 def _integrations(monkeypatch):
     """(tol, origin value, accepted steps) of every shooting trial from now
-    on.  A trial from d >= 1 integrates y = w/d from the same seed state
-    as every other such trial, so trials are told apart by d."""
+    on.  A centre-out trial from d >= 1 integrates y = w/d from the same
+    seed state as every other such trial, so trials are told apart by d."""
     runs = []
     trial = henon._trial
 
-    def spy(n, p, q, alpha, d, tol):
-        traj = trial(n, p, q, alpha, d, tol)
+    def spy(n, p, q, alpha, d, tol, scale):
+        traj = trial(n, p, q, alpha, d, tol, scale)
         runs.append((tol, d, int(traj.rs.size) - 1))
         return traj
 
@@ -300,6 +300,13 @@ def test_several_roots_beyond_one_root_span():
     assert "competing_roots" not in far.diagnostics
     with pytest.raises(IntegrationError, match="not finite"):
         shooting_miss(4, 3.0, 607.5, 400.0, 10.0 * far.d0)
+    # At q = 2000 the residual is noise-floored near its roots; the scan
+    # integrates w, whose flux tolerance is relative to F(1), and finds
+    # the ground state among two verified roots.  Scan trials on y = w/d
+    # raised ConvergenceError here on the root of mu 6.14.
+    big = solve_henon(5, 4.5, 2000.0, 400.0)
+    assert abs(big.mu - 3.9565) <= 1e-4
+    assert len(big.diagnostics["competing_roots"]) == 2
 
 
 # Large-q points where a Gauss rule on the output grid left quotient errors
@@ -395,8 +402,9 @@ def test_every_solve_meets_its_invariants_or_raises_a_typed_error(point):
     assert np.all(sol.v.values > 0.0), point
 
 
-# Near q = p the origin value reaches 1e84-1e307; the trials integrate
-# y = w/d and the quadrature runs on y, so none of these overflows.
+# Near q = p the origin value reaches 1e84-1e307; the centre-out trials
+# integrate y = w/d and the quadrature runs on y, so none of these
+# overflows.
 NEAR_Q_EQUAL_P = [(5, 3.877, 3.897, 295.3), (3, 2.0, 2.01, 400.0),
                   (6, 2.0, 2.006, 100.0), (6, 2.0, 2.00403, 100.0)]
 
@@ -409,13 +417,13 @@ def test_near_q_equal_p_points_solve():
         assert sol.shoot_res <= 1e-8, point
         assert np.all(sol.v.values > 0.0), point
     # Here the root lies past the largest float: the bracket gives up.  Its
-    # trials keep a finite scale-free residual, while F(1) = g (2d)^(p-1)
-    # leaves the float range as a typed error.
+    # trials keep a finite scale-free residual, while the unscaled trial
+    # behind F(1) overflows at its seed, a typed error.
     point = (4, 3.0, 3.0011547819846895, 6.25)
     with pytest.raises(BracketError, match="no sign change"):
         solve_henon(*point)
     assert math.isfinite(shooting_miss(*point, 1e299, scale_free=True))
-    with pytest.raises(IntegrationError, match="outside the float range"):
+    with pytest.raises(IntegrationError, match="not finite"):
         shooting_miss(*point, 1e299)
 
 
