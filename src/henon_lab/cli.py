@@ -46,19 +46,10 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    """json's fallback: arrays and numpy scalars (a float64 is a float)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _record(command: str, inputs: dict, results: dict, tolerances: dict,
@@ -69,7 +60,8 @@ def _record(command: str, inputs: dict, results: dict, tolerances: dict,
 
 
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(record), indent=2, sort_keys=True))
+    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True,
+                                default=_jsonable))
     sys.stdout.write("\n")
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError
-from .mesh import check_dimension
+from .mesh import RadialFunction, check_dimension
 from .rootfind import _brent
 
 __all__ = ["FluxState", "FluxTrajectory", "integrate_flux_ode",
@@ -121,6 +121,14 @@ class FluxTrajectory:
         above = np.maximum(r, SEED_RADIUS)
         dense = grad_from_flux(self._states(above)[1], above, self.p, self.n)
         return np.where(r < SEED_RADIUS, series, dense)
+
+    def tabulate(self, grid, scale) -> RadialFunction:
+        """scale times the profile: nodal data on grid, and evaluators that
+        read the dense output, so it is exact between the nodes too."""
+        return RadialFunction(grid, scale * self.value_at(grid.nodes),
+                              scale * self.grad_at(grid.nodes),
+                              _value_fn=lambda r: scale * self.value_at(r),
+                              _deriv_fn=lambda r: scale * self.grad_at(r))
 
 
 # Dormand-Prince 5(4): stage nodes, stage weights, fifth-order weights, and

@@ -17,9 +17,9 @@ shooting method): integrate outward and drive the boundary flux
 F(1) = |w'(1)|^(p-2) w'(1) to zero.  Each centre-out trial (see below)
 from d >= 1 integrates the scaled profile y = w/d (below d = 1, w itself),
 which solves the same flux ODE with y(0) = 1 and the sink term multiplied
-by d^(q-p).  On w the flux F ~ d^(p-1) r^n / n made the step test purely
+by d^(q-p).  On w the flux F ~ d^(p-1) r^n / n makes the step test purely
 relative near the origin, about 90 steps per decade of r, and near q = p,
-where d reaches 1e300, w^q overflowed the quadrature.  The slope
+where d reaches 1e300, w^q overflows the quadrature.  The slope
 w'(1) = sign(F) |F|^(1/(p-1)) has an infinite derivative at its root when
 p > 2, which slows Brent's method to bisection; the flux does not.  Trials
 that die (w hits zero) or blow up before r = 1 are mapped to continuous
@@ -37,8 +37,8 @@ root run at a relaxed tolerance, trials near it at the full one, and the
 full-tolerance trial at Brent's root is kept as the profile: no trial is
 integrated twice at full tolerance.  Its norm and mu are integrated on its
 own steps (`flux_ode.step_quadrature`), so they do not depend on the output
-grid, and a solve whose quotient misses mu by more than MU_QUOTIENT_TOL
-raises ConvergenceError.
+grid.  A root whose quotient misses mu by more than MU_QUOTIENT_TOL raises
+ConvergenceError, unless a verified root of the scan has clearly lower mu.
 """
 from __future__ import annotations
 
@@ -89,6 +89,7 @@ _RELAXED_FLOOR = 1e-4
 _SCAN_POINTS = 16  # residual samples over [c/10, 10c] outside one_root_span
 _MAX_EXPANSIONS = 12  # bracket steps before the search gives up
 _PROBE_POINTS = 501  # uniform radii for the sup distance to phi_p
+_SLOPE_POINTS = 40  # radii in each log-log window of `derivative_asymptotics`
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # Largest relative gap between mu and the quotient of the profile that a
 # solve returns; every `radial` record states it.
@@ -295,8 +296,8 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
     and ||w|| = scale ||y||; then mu = ||w||^(p(q-p)/q) and the quotient
     are the same number for the exact profile, since Q(w) = mu rests on the
     weak form; their relative gap, "mu_quotient_rel_err", checks quadrature
-    and the boundary residual at once.  A gap above MU_QUOTIENT_TOL, or one
-    that is not finite (as where ||w|| overflows), raises ConvergenceError.
+    and the boundary residual at once (`solve_henon` judges it).  A gap that
+    is not finite (as where ||w|| overflows) raises ConvergenceError.
     """
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
@@ -316,47 +317,20 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
         raise ConvergenceError(
             f"profile at origin value {d0:.8g} gave mu = {mu:.6g} with "
             f"quotient error {rel_err:.3g}: its quadrature is not finite")
-    if rel_err > MU_QUOTIENT_TOL:
-        raise ConvergenceError(
-            f"profile at origin value {d0:.8g} gave mu = {mu:.10g} with "
-            f"quotient error {rel_err:.3g}, above {MU_QUOTIENT_TOL:g}")
 
     inv = 1.0 / norm_y
-    v = RadialFunction(grid, inv * traj.value_at(grid.nodes),
-                       inv * traj.grad_at(grid.nodes),
-                       _value_fn=lambda r: inv * traj.value_at(r),
-                       _deriv_fn=lambda r: inv * traj.grad_at(r))
     diagnostics = dict(diagnostics)
     diagnostics["mu_quotient_rel_err"] = float(rel_err)
     shoot_res = abs(traj.end.flux) * inv ** (p - 1.0)
     return HenonSolution(n=n, p=p, q=q, alpha=alpha, d0=float(d0),
                          mu=float(mu), norm_w=float(norm_w),
-                         shoot_res=float(shoot_res), v=v,
-                         grid=grid, diagnostics=diagnostics)
-
-
-def _root(miss, full_miss, kept, bracket, f_tol):
-    """Brent on one bracket; returns the root and the full-tolerance trial
-    there.  `kept` maps the origin value of the last full-tolerance trial
-    to its trajectory, and `full_miss` runs one."""
-    a, b, fa, fb = bracket
-    # The quotient is stationary at the root, so mu is quadratically
-    # insensitive to the leftover error in d.  f_tol is scale-free (a bound
-    # on g, or on F(1) relative to (a+b)^(p-1)), since a wide bracket makes
-    # the endpoint residuals arbitrarily large; but where close roots
-    # flatten the residual, 1e-6 of the endpoint residuals is the tighter
-    # test.
-    d0 = brent_root(miss, a, b,
-                    f_tol=min(f_tol, 1e-6 * max(abs(fa), abs(fb))),
-                    x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
-    if d0 not in kept:  # a bracket end, a relaxed trial or an earlier point
-        full_miss(d0)
-    return d0, kept[d0]
+                         shoot_res=float(shoot_res),
+                         v=traj.tabulate(grid, inv), grid=grid,
+                         diagnostics=diagnostics)
 
 
 def solve_henon(n: int, p: float, q: float, alpha: float, *,
-                grid: RadialGrid | None = None, refinement: int = 8,
-                tol: float = 1e-10) -> HenonSolution:
+                refinement: int = 8, tol: float = 1e-10) -> HenonSolution:
     """Shoot for the ground state and package profile, mu, and diagnostics.
 
     Within `one_root_span` the bracket starts at the large-alpha
@@ -371,18 +345,17 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     Beyond the span, sixteen trials at the relaxed tolerance scan
     [c/10, 10c] geometrically, and Brent solves each sign change of F(1)
     at `tol`, stopping at |F(1)| <= 1e-9 (a+b)^(p-1) on the bracket
-    [a, b]; the root of least mu is returned,
-    and "competing_roots" lists them all when there are several.  On both
+    [a, b]; the root of least mu is returned, and "competing_roots" lists
+    them all when there are several.  A root whose quotient misses mu by
+    more than MU_QUOTIENT_TOL raises ConvergenceError, unless another root
+    passed with mu below its mu (1 - quotient error): then it is dropped
+    and listed in "dropped_roots" as (d0, mu, quotient error).  On both
     paths the profile is the full-tolerance trial at Brent's root, and
     "trials" counts every integration.  mu, d0 and norm_w come from that
-    trial alone (`_finalize`); `grid`, or a grid at `refinement`, only
-    tabulates v.
+    trial alone (`_finalize`); the grid at `refinement` only tabulates v.
     """
     validate_parameters(n, p, q, alpha)
-    if grid is None:
-        grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
-    elif grid.n != n:
-        raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
+    grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
 
     scan = q - p > one_root_span(n, p, alpha)
     center = _initial_center(n, p, q, alpha)
@@ -438,28 +411,50 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
         *pair, expansions = _bracket(bracket_miss, lo, hi, f_lo, f_hi)
         brackets = [tuple(pair)]
 
-    candidates, early = [], None
-    for bracket in brackets:
-        f_tol = (_FLUX_TOL * (bracket[0] + bracket[1]) ** (p - 1.0) if scan
-                 else _RESIDUAL_TOL)
-        d0, final = _root(root_miss, full_miss, kept, bracket, f_tol)
+    candidates, failed, early = [], [], None
+    for a, b, fa, fb in brackets:
+        # The quotient is stationary at the root, so mu is quadratically
+        # insensitive to the leftover error in d.  The stop is scale-free
+        # (a bound on g, or on F(1) relative to (a+b)^(p-1)), since a wide
+        # bracket makes the endpoint residuals arbitrarily large; but where
+        # close roots flatten the residual, 1e-6 of the endpoint residuals
+        # is the tighter test.
+        f_tol = _FLUX_TOL * (a + b) ** (p - 1.0) if scan else _RESIDUAL_TOL
+        d0 = brent_root(root_miss, a, b,
+                        f_tol=min(f_tol, 1e-6 * max(abs(fa), abs(fb))),
+                        x_tol=1e-12 * max(1.0, b), fa=fa, fb=fb)
+        if d0 not in kept:  # a bracket end, a relaxed or an earlier trial
+            full_miss(d0)
+        final = kept[d0]
         if final.status != "completed":  # spurious crossing of a surrogate
             early = ConvergenceError(
                 f"profile at the fitted origin value {d0:.8g} terminated "
                 f"early ({final.status} at r={final.end.radius:.6g})")
             continue
-        diagnostics = {"bracket": (float(bracket[0]), float(bracket[1])),
+        diagnostics = {"bracket": (float(a), float(b)),
                        "expansions": expansions,
                        "ode_steps": int(final.rs.size)}
-        candidates.append(_finalize(n, p, q, alpha, grid, d0, final,
-                                    diagnostics))
-    if not candidates:
+        sol = _finalize(n, p, q, alpha, grid, d0, final, diagnostics)
+        passed = sol.diagnostics["mu_quotient_rel_err"] <= MU_QUOTIENT_TOL
+        (candidates if passed else failed).append(sol)
+    if not (candidates or failed):
         raise early
-    best = min(candidates, key=lambda sol: sol.mu)
+    best = min(candidates, key=lambda sol: sol.mu, default=None)
+    dropped = []
+    for sol in failed:
+        err = sol.diagnostics["mu_quotient_rel_err"]
+        if best is None or not best.mu < sol.mu * (1.0 - err):
+            raise ConvergenceError(
+                f"profile at origin value {sol.d0:.8g} gave mu = "
+                f"{sol.mu:.10g} with quotient error {err:.3g}, above "
+                f"{MU_QUOTIENT_TOL:g}")
+        dropped.append((sol.d0, sol.mu, err))
     best.diagnostics["trials"] = trials
     if len(candidates) > 1:
         best.diagnostics["competing_roots"] = [
             (sol.d0, sol.mu) for sol in candidates]
+    if dropped:
+        best.diagnostics["dropped_roots"] = dropped
     return best
 
 
@@ -494,7 +489,7 @@ def _window_slope(dv, xs, anchor_vals) -> tuple[float | None, bool]:
     return float(np.polyfit(np.log(xs), np.log(vals), 1)[0]), True
 
 
-def derivative_asymptotics(sol: HenonSolution, num: int = 40) -> SlopeReport:
+def derivative_asymptotics(sol: HenonSolution) -> SlopeReport:
     """Fit the endpoint growth exponents of v'; needs alpha >= 100.
 
     Below alpha = 100 the boundary layer is too shallow for the fit window
@@ -505,9 +500,9 @@ def derivative_asymptotics(sol: HenonSolution, num: int = 40) -> SlopeReport:
                          f"got alpha={sol.alpha:g}")
     dv = sol.v.derivative
     alpha = sol.alpha
-    s = np.geomspace(1e-3 / alpha, 0.1 / alpha, num)
+    s = np.geomspace(1e-3 / alpha, 0.1 / alpha, _SLOPE_POINTS)
     boundary_slope, boundary_ok = _window_slope(dv, s, 1.0 - s)
-    r = np.geomspace(1e-3, 1e-2, num)
+    r = np.geomspace(1e-3, 1e-2, _SLOPE_POINTS)
     origin_slope, origin_ok = _window_slope(dv, r, r)
     return SlopeReport(expected=1.0 / (sol.p - 1.0),
                        boundary_slope=boundary_slope,
@@ -519,7 +514,6 @@ def derivative_asymptotics(sol: HenonSolution, num: int = 40) -> SlopeReport:
 @dataclass
 class LimitPoint:
     alpha: float
-    mu: float
     rho: float      # mu / ((alpha+n)^(p/q) |S|^(1-p/q) lambda_p)
     sup_err: float  # max |v - phi_p| on a uniform probe grid
 
@@ -528,10 +522,6 @@ class LimitPoint:
 class LimitReport:
     """Convergence of (mu, v) toward the Steklov pair as alpha grows."""
 
-    n: int
-    p: float
-    q: float
-    lambda_p: float
     phi_sup: float  # max of phi_p, the scale for judging sup_err
     points: list[LimitPoint]
     rho_err_decreasing: bool
@@ -541,34 +531,32 @@ class LimitReport:
 _DEFAULT_ALPHAS = (25.0, 50.0, 100.0, 200.0, 400.0)
 
 
-def limit_comparison(n: int, p: float, q: float, alphas=_DEFAULT_ALPHAS, *,
-                     refinement: int = 8, tol: float = 1e-10) -> LimitReport:
+def limit_comparison(n: int, p: float, q: float,
+                     alphas=_DEFAULT_ALPHAS) -> LimitReport:
     """Compare ground states against the Steklov limit along increasing alpha.
 
     For each alpha the ratio rho and the sup distance between v and phi_p
     are recorded; the trend flags report whether both errors decrease over
-    the last (up to) three entries.
+    the last (up to) three entries.  Both solvers run at their defaults.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2 or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("needs at least two strictly increasing alphas")
-    stek = solve_steklov(n, p, refinement=refinement, tol=tol)
+    stek = solve_steklov(n, p)
     rs = np.linspace(0.0, 1.0, _PROBE_POINTS)
     phi_vals = stek.phi(rs)
     meas, lam = stek.surface_measure, stek.lambda_p
 
     points = []
     for alpha in alphas:
-        sol = solve_henon(n, p, q, alpha, refinement=refinement, tol=tol)
+        sol = solve_henon(n, p, q, alpha)
         rho = sol.mu / ((alpha + n) ** (p / q) * meas ** (1.0 - p / q) * lam)
         sup_err = float(np.max(np.abs(sol.v(rs) - phi_vals)))
-        points.append(LimitPoint(alpha=alpha, mu=sol.mu, rho=float(rho),
-                                 sup_err=sup_err))
+        points.append(LimitPoint(alpha=alpha, rho=float(rho), sup_err=sup_err))
 
     rho_errs = [abs(pt.rho - 1.0) for pt in points[-3:]]
     sup_errs = [pt.sup_err for pt in points[-3:]]
     return LimitReport(
-        n=n, p=p, q=q, lambda_p=lam, phi_sup=float(np.max(phi_vals)),
-        points=points,
+        phi_sup=float(np.max(phi_vals)), points=points,
         rho_err_decreasing=all(b < a for a, b in zip(rho_errs, rho_errs[1:])),
         sup_err_decreasing=all(b < a for a, b in zip(sup_errs, sup_errs[1:])))

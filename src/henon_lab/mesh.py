@@ -83,9 +83,7 @@ class RadialGrid:
         return np.diff(self.nodes)
 
     def integrate(self, values) -> float:
-        """Integrate over [0, 1]; `values` is a callable or samples at quad_x."""
-        if callable(values):
-            values = values(self.quad_x)
+        """Integrate over [0, 1] the samples `values` at quad_x."""
         return float(np.dot(self.quad_w, values))
 
     def cell_slopes(self, node_values: np.ndarray) -> np.ndarray:
@@ -116,14 +114,18 @@ def build_grid(n: int, refinement: int = 8,
     n : int
         Dimension, n >= 3.
     refinement : int
-        Doubling level in [1, 12]; node count grows ~2x per level.
+        Doubling level in [1, 12]; node count grows ~2x per level.  A
+        float or a bool raises ValueError, as for n.
     alpha_hint : float
         If positive, the boundary layer [1 - 10/alpha, 1] receives at least
         50 nodes with quadratic clustering toward r = 1.
     """
     check_dimension(n)
-    if not 1 <= refinement <= MAX_REFINEMENT:
-        raise ValueError(f"refinement must lie in [1, {MAX_REFINEMENT}], got {refinement}")
+    if (isinstance(refinement, bool)
+            or not isinstance(refinement, (int, np.integer))
+            or not 1 <= refinement <= MAX_REFINEMENT):
+        raise ValueError(f"refinement must be an integer in "
+                         f"[1, {MAX_REFINEMENT}], got {refinement!r}")
     if alpha_hint < 0:
         raise ValueError(f"alpha_hint must be >= 0, got {alpha_hint}")
     m = max(3, -(-n // 2))
@@ -150,7 +152,7 @@ def build_grid(n: int, refinement: int = 8,
                       quad_cell=cell, quad_points=m)
 
 
-def _hermite_pieces(nodes, values, derivs, r):
+def _hermite_pieces(nodes, r):
     r = np.asarray(r, dtype=float)
     idx = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
     h = nodes[idx + 1] - nodes[idx]
@@ -159,7 +161,7 @@ def _hermite_pieces(nodes, values, derivs, r):
 
 
 def _hermite_value(nodes, values, derivs, r):
-    idx, h, t = _hermite_pieces(nodes, values, derivs, r)
+    idx, h, t = _hermite_pieces(nodes, r)
     t2, t3 = t * t, t * t * t
     return ((2 * t3 - 3 * t2 + 1) * values[idx]
             + (t3 - 2 * t2 + t) * h * derivs[idx]
@@ -168,7 +170,7 @@ def _hermite_value(nodes, values, derivs, r):
 
 
 def _hermite_derivative(nodes, values, derivs, r):
-    idx, h, t = _hermite_pieces(nodes, values, derivs, r)
+    idx, h, t = _hermite_pieces(nodes, r)
     t2 = t * t
     return ((6 * t2 - 6 * t) * values[idx] / h
             + (3 * t2 - 4 * t + 1) * derivs[idx]

@@ -24,10 +24,8 @@ refusal raises ConvergenceError.  Every step sweeps the LDL^T pivot
 recurrence of A - s B on plain floats, on numpy alone: a Sturm count runs
 the count-only sweep `mesh.negative_pivots`, and inverse iteration factors
 with `mesh.ldlt` once per shift and solves with `mesh.ldlt_solve`.  Each
-step forms A h and B h once.  None of this changes the arithmetic of a
-plain factor-then-solve: every count, sigma and h is the same bits.  The
-dense solve `dense_min_eig`, which loads scipy, is a reference for tests
-only.
+step forms A h and B h once.  The dense solve `dense_min_eig`, which loads
+scipy, is a reference for tests only.
 """
 from __future__ import annotations
 
@@ -105,16 +103,6 @@ def second_variation_forms(sol: HenonSolution, ell: int = 1,
                         ell=ell)
 
 
-def _sturm_count(a_form: TridiagForm, b_form: TridiagForm, s: float) -> int:
-    """Pencil eigenvalues below s: the negative LDL^T pivots of A - s B."""
-    return negative_pivots(a_form.diag - s * b_form.diag,
-                           a_form.off - s * b_form.off)
-
-
-def _rayleigh(a_form: TridiagForm, b_form: TridiagForm, x: np.ndarray) -> float:
-    return a_form.quad_form(x) / b_form.quad_form(x)
-
-
 def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
                    ) -> tuple[float, np.ndarray, dict]:
     """Smallest eigenpair of (A, B), B positive definite.
@@ -143,13 +131,15 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     sturm_counts = 0
 
     def count(s: float) -> int:
+        """Pencil eigenvalues below s: the negative pivots of A - s B."""
         nonlocal sturm_counts
         sturm_counts += 1
-        return _sturm_count(a_form, b_form, s)
+        return negative_pivots(a_form.diag - s * b_form.diag,
+                               a_form.off - s * b_form.off)
 
     nodes_probe = np.linspace(0.0, 1.0, size)
     probes = [np.ones(size), nodes_probe, 1.0 - nodes_probe]
-    hi = min(_rayleigh(a_form, b_form, x) for x in probes)
+    hi = min(a_form.quad_form(x) / b_form.quad_form(x) for x in probes)
     scale = max(1.0, abs(hi))
     # The probe quotient bounds sigma from above, but only strictly when the
     # probe is not an eigenvector; pad upward until the count confirms it.

@@ -23,12 +23,16 @@ def _bessel_series(nu: float, x: float) -> float:
     raise ValueError(f"Bessel series did not converge for nu={nu}, x={x}")
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """I_nu(x) by power series; relative error below 1e-12 on (0, 10]."""
+def _check_bessel_args(nu: float, x: float) -> None:
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     if not 0.0 < x <= _MAX_ARG:
         raise ValueError(f"argument must lie in (0, {_MAX_ARG}], got {x}")
+
+
+def bessel_i(nu: float, x: float) -> float:
+    """I_nu(x) by power series; relative error below 1e-12 on (0, 10]."""
+    _check_bessel_args(nu, x)
     return _bessel_series(nu, x)
 
 
@@ -38,10 +42,7 @@ def bessel_i_prime(nu: float, x: float) -> float:
     The series core accepts orders down to nu - 1 > -1, which the
     recurrence needs at half-integer orders below 1.
     """
-    if nu < 0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    if not 0.0 < x <= _MAX_ARG:
-        raise ValueError(f"argument must lie in (0, {_MAX_ARG}], got {x}")
+    _check_bessel_args(nu, x)
     if nu == 0.0:
         return _bessel_series(1.0, x)
     return _bessel_series(nu - 1.0, x) - nu / x * _bessel_series(nu, x)

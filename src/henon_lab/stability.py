@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = ["AppendixTableRow", "ChainLink", "ChainReport", "compute_k",
 _E = math.e
 _EPS = sys.float_info.epsilon
 _P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
+_P_LOC_TOL = 1e-6    # bracket width at which the p_loc root solve stops
 
 
 def conjugate_exponent(p: float) -> float:
@@ -79,7 +80,7 @@ def find_q_loc(n: int, p: float, *, lambda_p: float | None = None) -> float:
     return 1.0 + lambda_p ** (-p / (p - 1.0)) * (1.0 - (n - 1.0) * lambda_p)
 
 
-def find_p_loc(n: int, *, tol: float = 1e-6) -> float:
+def find_p_loc(n: int) -> float:
     """Smallest p in (2, n) with K(n, p, p*(p)) = 0.
 
     Below p_loc even the critical exponent is stable.  Returns n (capped)
@@ -102,8 +103,8 @@ def find_p_loc(n: int, *, tol: float = 1e-6) -> float:
             f"K(n,p,p*) is negative over all of [2, {n - 0.05}] at n={n}")
     i = change[0]
     return brent_root(k_at_critical, float(ps[i]), float(ps[i + 1]),
-                      f_tol=1e-9 * (abs(ks[i]) + abs(ks[i + 1])), x_tol=tol,
-                      fa=ks[i], fb=ks[i + 1])
+                      f_tol=1e-9 * (abs(ks[i]) + abs(ks[i + 1])),
+                      x_tol=_P_LOC_TOL, fa=ks[i], fb=ks[i + 1])
 
 
 def compute_ipn(n: int, p: float) -> float:
@@ -223,13 +224,7 @@ class ChainLink:
 class ChainReport:
     """Margins for every link of the eigenvalue-bound inequality chain."""
 
-    n: int
-    p: float
-    lambda_p: float
-    ipn: float
-    tpn: float
-    kappa: float
-    links: list[ChainLink] = field(default_factory=list)
+    links: list[ChainLink]
 
     @property
     def all_hold(self) -> bool:
@@ -288,5 +283,4 @@ def verify_appendix_chain(n: int, p: float,
     add("main_inequality",
         1.0 - lam * (n - 1.0) - lam ** (p / (p - 1.0)) * (p - 1.0))
 
-    return ChainReport(n=n, p=p, lambda_p=lam, ipn=ipn, tpn=t, kappa=kap,
-                       links=links)
+    return ChainReport(links)

@@ -74,19 +74,16 @@ class SteklovSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
-                  refinement: int = 8, tol: float = 1e-10) -> SteklovSolution:
+def solve_steklov(n: int, p: float, *, refinement: int = 8,
+                  tol: float = 1e-10) -> SteklovSolution:
     """Solve for the eigenpair and normalize the eigenfunction.
 
     The returned phi carries dense evaluators valid on all of [0, 1].  The
     W^1_p norm is integrated on the steps of the shot (`step_quadrature`);
-    the grid only fixes where nodal values are tabulated.
+    the grid at `refinement` only fixes where nodal values are tabulated.
     """
     _validate(n, p)
-    if grid is None:
-        grid = build_grid(n, refinement=refinement)
-    elif grid.n != n:
-        raise ValueError(f"grid was built for n={grid.n}, requested n={n}")
+    grid = build_grid(n, refinement=refinement)
 
     traj = _shoot(n, p, tol)
     lam = _boundary_quotient(traj.end, n, p, tol)
@@ -97,10 +94,7 @@ def solve_steklov(n: int, p: float, *, grid: RadialGrid | None = None,
                                  * rq ** (n - 1)))
     scale = norm_p ** (-1.0 / p)
 
-    phi = RadialFunction(grid, scale * traj.value_at(grid.nodes),
-                         scale * traj.grad_at(grid.nodes),
-                         _value_fn=lambda r: scale * traj.value_at(r),
-                         _deriv_fn=lambda r: scale * traj.grad_at(r))
+    phi = traj.tabulate(grid, scale)
     phi1_exact = (lam * meas) ** (-1.0 / p)
     diagnostics = {
         "ode_steps": int(traj.rs.size),

@@ -43,10 +43,6 @@ _MAX_DAMPING = 1e12  # beyond it the step is too short to make progress
 class VariationalResult:
     """Outcome of the direct quotient minimization."""
 
-    n: int
-    p: float
-    q: float
-    alpha: float
     mu: float
     v: RadialFunction          # minimizer, W^1_p norm one on the ball
     history: list[float]       # quotient at the start and at each step
@@ -288,6 +284,6 @@ def minimize_quotient(n: int, p: float, q: float, alpha: float, *,
                    "converged": res.success, "message": res.message,
                    # |grad Q| at the returned profile, of W^1_p norm one
                    "grad_norm": float(mu * scale * np.linalg.norm(point.grad))}
-    return VariationalResult(n=n, p=p, q=q, alpha=alpha, mu=float(mu),
+    return VariationalResult(mu=float(mu),
                              v=RadialFunction.from_nodes(grid, res.x / scale),
                              history=history, diagnostics=diagnostics)

@@ -302,11 +302,59 @@ def test_several_roots_beyond_one_root_span():
         shooting_miss(4, 3.0, 607.5, 400.0, 10.0 * far.d0)
     # At q = 2000 the residual is noise-floored near its roots; the scan
     # integrates w, whose flux tolerance is relative to F(1), and finds
-    # the ground state among two verified roots.  Scan trials on y = w/d
-    # raised ConvergenceError here on the root of mu 6.14.
+    # the ground state among two verified roots.
     big = solve_henon(5, 4.5, 2000.0, 400.0)
     assert abs(big.mu - 3.9565) <= 1e-4
     assert len(big.diagnostics["competing_roots"]) == 2
+
+
+# Scan-path points where one competing root fails its quotient check:
+# (point, d0 of that root, its quotient error, the ground state's mu).
+FAILING_COMPETITOR = [
+    ((5, 4.1492357979689505, 46.3233984216942, 4.865953370121124),
+     6.5197, 7.7e-4, 4.146333),
+    ((5, 4.226606550119202, 121.9271269083708, 17.74515448679415),
+     5.419, 2.0e-4, 4.206928),
+]
+
+
+def test_a_failing_competing_root_is_dropped():
+    # Verified roots of lower mu exist at both points, so the root that
+    # fails is listed as (d0, mu, quotient error), not raised.
+    for point, d0, err, mu in FAILING_COMPETITOR:
+        sol = solve_henon(*point)
+        assert abs(sol.mu - mu) <= 1e-6 * mu, point
+        assert sol.diagnostics["mu_quotient_rel_err"] <= henon.MU_QUOTIENT_TOL
+        assert np.all(sol.v.values > 0.0)
+        assert len(sol.diagnostics["competing_roots"]) == 2
+        assert sol.mu == min(m for _, m in sol.diagnostics["competing_roots"])
+        [(dropped_d0, dropped_mu, dropped_err)] = \
+            sol.diagnostics["dropped_roots"]
+        assert abs(dropped_d0 - d0) <= 1e-3 * d0, point
+        assert abs(dropped_err - err) <= 0.05 * err, point
+        assert sol.mu < dropped_mu * (1.0 - dropped_err)
+
+
+@pytest.mark.parametrize("d0_range, err", [((0.0, 1.0), 1e-3),
+                                           ((6.0, 7.0), 0.06)])
+def test_a_failing_root_raises_without_a_clearly_lower_verified_one(
+        monkeypatch, d0_range, err):
+    # First the ground state's root (d0 = 0.6756) fails: no verified root
+    # lies below it.  Then the root at d0 = 6.52 (mu 4.3897) fails with a
+    # quotient error of 6%, so its mu may be as low as 4.126, below the
+    # verified 4.1463.
+    finalize = henon._finalize
+
+    def with_error(*args):
+        sol = finalize(*args)
+        if d0_range[0] < sol.d0 < d0_range[1]:
+            sol.diagnostics["mu_quotient_rel_err"] = err
+        return sol
+
+    monkeypatch.setattr(henon, "_finalize", with_error)
+    with pytest.raises(ConvergenceError,
+                       match=f"quotient error {err:.3g}, above 1e-06"):
+        solve_henon(*FAILING_COMPETITOR[0][0])
 
 
 # Large-q points where a Gauss rule on the output grid left quotient errors
@@ -459,6 +507,21 @@ def test_endpoint_exponents(ground_state):
 def test_asymptotics_needs_deep_layer(ground_state):
     with pytest.raises(ValueError, match="alpha >= 100"):
         derivative_asymptotics(ground_state(4, 2.0, 3.0, 50.0))
+
+
+def test_limit_profile_error_halves_with_each_doubling_of_alpha():
+    # At criterion 6's points sup |v - phi_p| falls like 1/alpha:
+    # 8.0e-4, 4.06e-4, 2.05e-4 at (4, 2, 3) and 1.07e-3, 5.44e-4, 2.75e-4
+    # at (4, 2.5, 3).
+    alphas = (100.0, 200.0, 400.0)
+    for n, p, q in [(4, 2.0, 3.0), (4, 2.5, 3.0)]:
+        report = limit_comparison(n, p, q, alphas=alphas)
+        assert tuple(pt.alpha for pt in report.points) == alphas
+        assert report.sup_err_decreasing, (n, p, q)
+        errs = [pt.sup_err for pt in report.points]
+        for err, half in zip(errs, errs[1:]):
+            assert 0.4 <= half / err <= 0.6, (n, p, q, errs)
+        assert errs[-1] <= 1e-3 * report.phi_sup
 
 
 def test_limit_comparison_validation():

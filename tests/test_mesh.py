@@ -4,9 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from henon_lab.henon import solve_henon
 from henon_lab.mesh import (MAX_DIMENSION, MAX_REFINEMENT, ZERO_PIVOT,
                             RadialFunction, TridiagForm, assemble_forms,
                             build_grid, ldlt, ldlt_solve, negative_pivots)
+from henon_lab.steklov import solve_steklov
+from henon_lab.variational import minimize_quotient
 
 
 def test_grid_basic_shape():
@@ -22,13 +25,14 @@ def test_grid_basic_shape():
 def test_volume_quadrature_exact(n):
     # The default rule must integrate the volume weight itself exactly.
     grid = build_grid(n, refinement=4)
-    assert abs(grid.integrate(lambda r: r ** (n - 1)) - 1.0 / n) < 1e-14
+    assert abs(grid.integrate(grid.quad_x ** (n - 1)) - 1.0 / n) < 1e-14
 
 
 def test_quadrature_smooth_integrand():
     # int_0^1 r^4 e^r dr = 9e - 24, to 20 digits 0.46453645613140711824.
     grid = build_grid(5, refinement=6)
-    val = grid.integrate(lambda r: r ** 4 * np.exp(r))
+    r = grid.quad_x
+    val = grid.integrate(r ** 4 * np.exp(r))
     assert abs(val - 0.46453645613140711824) < 1e-10
 
 
@@ -51,6 +55,19 @@ def test_grid_validation():
         build_grid(4, refinement=0)
     with pytest.raises(ValueError, match="refinement"):
         build_grid(4, refinement=MAX_REFINEMENT + 1)
+    # A float, even a whole one, and a bool are not refinement levels; the
+    # solvers that build their own grid pass the check on.
+    for bad in (8.5, 8.0, True, np.float64(8.0)):
+        with pytest.raises(ValueError, match="refinement must be an integer"):
+            build_grid(4, refinement=bad, alpha_hint=400.0)
+    for solve in (lambda r: solve_henon(4, 2.0, 3.0, 400.0, refinement=r),
+                  lambda r: solve_steklov(4, 2.0, refinement=r),
+                  lambda r: minimize_quotient(4, 2.0, 3.0, 400.0,
+                                              refinement=r)):
+        with pytest.raises(ValueError, match="refinement must be an integer"):
+            solve(8.0)
+    assert build_grid(4, refinement=np.int64(8)).num_nodes == \
+        build_grid(4, refinement=8).num_nodes
     with pytest.raises(ValueError, match="alpha_hint"):
         build_grid(4, alpha_hint=-1.0)
 

@@ -9,7 +9,7 @@ import pytest
 
 from henon_lab import cli, second_variation
 from henon_lab.errors import ConvergenceError
-from henon_lab.mesh import TridiagForm, build_grid
+from henon_lab.mesh import TridiagForm, build_grid, negative_pivots
 from henon_lab.second_variation import (dense_min_eig,
                                         eigenprofile_properties,
                                         eigenprofile_steepness,
@@ -85,6 +85,12 @@ def _sturm_count_loop(a_form, b_form, s):
     return count
 
 
+def _sturm_count(a_form, b_form, s):
+    """The count `pencil_min_eig` takes: negative pivots of A - s B."""
+    return negative_pivots(a_form.diag - s * b_form.diag,
+                           a_form.off - s * b_form.off)
+
+
 def test_sturm_count_matches_the_scalar_loop(ground_state):
     # Same arithmetic on plain floats, so the same counts, including at
     # shifts within rounding of sigma where the last pivot is noise.  The
@@ -96,7 +102,7 @@ def test_sturm_count_matches_the_scalar_loop(ground_state):
         sigma, _, _ = pencil_min_eig(*forms)
         shifts = [sigma * (1.0 + k * 1e-14) for k in range(-40, 41)]
         shifts += [sigma * k for k in (-3.0, 0.0, 0.5, 1.5, 2.0)]
-        counts = [second_variation._sturm_count(*forms, s) for s in shifts]
+        counts = [_sturm_count(*forms, s) for s in shifts]
         assert counts == [_sturm_count_loop(*forms, s) for s in shifts]
         assert 0 in counts and max(counts) > 1
 

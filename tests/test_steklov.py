@@ -128,8 +128,6 @@ def test_validation():
         steklov_eigenvalue(2, 2.0)
     with pytest.raises(ValueError):
         steklov_eigenvalue(4, 1.0)
-    with pytest.raises(ValueError):
-        solve_steklov(4, 2.0, grid=build_grid(3, refinement=4))
 
 
 def test_loose_tolerance_detected():
