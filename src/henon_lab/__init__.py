@@ -23,7 +23,8 @@ from .henon import (HenonSolution, LimitPoint, LimitReport, SlopeReport,
 from .mesh import RadialFunction, RadialGrid, TridiagForm, assemble_forms, build_grid
 from .second_variation import (EigenprofileReport, PencilResult,
                                eigenprofile_properties,
-                               eigenprofile_steepness, min_second_variation,
+                               eigenprofile_steepness, limit_form_matrix,
+                               limit_form_min_numeric, min_second_variation,
                                pencil_forms, pencil_min_eig,
                                second_variation_forms)
 from .special import bessel_i, bessel_i_prime, gamma_fn, surface_measure
@@ -32,8 +33,7 @@ from .stability import (AppendixTableRow, ChainLink, ChainReport,
                         conjugate_exponent, find_p_loc, find_q_loc, g_tilde,
                         kappa_value, stability_scale, t_star, tau_star,
                         verify_appendix_chain)
-from .steklov import (SteklovSolution, bessel_lambda2, limit_form_matrix,
-                      limit_form_min_closed, limit_form_min_numeric,
+from .steklov import (SteklovSolution, bessel_lambda2, limit_form_min_closed,
                       solve_steklov, steklov_eigenvalue)
 from .variational import VariationalResult, minimize_quotient
 

@@ -186,13 +186,8 @@ def _run_stability(args) -> dict:
         k = compute_k(args.n, args.p, args.q, lam)
         results["k_value"] = k
         results["k_positive"] = k > 0.0
-    if args.n >= 4:
-        try:
-            results["p_loc"] = find_p_loc(args.n)
-        except ConvergenceError:
-            results["p_loc"] = None
-    else:
-        results["p_loc"] = None  # no root below p = 2 in dimension 3
+    # No root below p = 2 in dimension 3.
+    results["p_loc"] = find_p_loc(args.n) if args.n >= 4 else None
     chain = verify_appendix_chain(args.n, args.p, lam)
     results["chain"] = {
         "all_hold": chain.all_hold,

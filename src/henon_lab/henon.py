@@ -174,23 +174,24 @@ def _trial(n, p, q, alpha, d, tol, scale=1.0):
 
 
 def shooting_miss(n: int, p: float, q: float, alpha: float, d: float, *,
-                  tol: float = 1e-10, keep: dict | None = None,
-                  scale_free: bool = False) -> float:
-    """Boundary flux F(1) = |w'(1)|^(p-2) w'(1) of the trial from d.
+                  tol: float = 1e-10, keep: dict | None = None) -> float:
+    """Shooting residual of the trial from d: the boundary flux
+    F(1) = |w'(1)|^(p-2) w'(1), or a multiple of it with the same sign.
 
     A trial that dies at r* < 1 takes the slope surrogate
     s = w'(r*) - (1 - r*) (more negative the earlier the death), one that
-    blows up s = w'(r*) + (1 - r*); both return sign(s) |s|^(p-1), which
-    meets F(1) continuously as r* -> 1.  The residual falls through zero
-    once, and unlike w'(1) it has a finite slope in d there when p > 2.
-    With `scale_free` it returns g = F(1) / (2d)^(p-1) instead, the
-    residual of the centre-out path: the trial then integrates
-    y = w / max(1, d) (`_trial`), and g = sign(s) |s / (2d)|^(p-1) is read
-    off y with no power of d formed, s / (2d) = (y'(r*) -+ (1 - r*) /
-    max(1, d)) / (2 y(0)).  A residual beyond the float range raises
-    IntegrationError.
+    blows up s = w'(r*) + (1 - r*); sign(s) |s|^(p-1) then meets F(1)
+    continuously as r* -> 1.  Unlike w'(1), F(1) has a finite slope in d
+    at the root when p > 2.  The point decides the residual.  Beyond
+    `one_root_span` (the scan path) it is F(1) of the trial of w itself.
+    Within it (the centre-out path) it is g = F(1) / (2d)^(p-1): the trial
+    integrates y = w / max(1, d) (`_trial`), and
+    g = sign(s) |s / (2d)|^(p-1) is read off y with no power of d formed,
+    s / (2d) = (y'(r*) -+ (1 - r*) / max(1, d)) / (2 y(0)).  A residual
+    beyond the float range raises IntegrationError.
     A dict passed as `keep` receives the trial's trajectory under d.
     """
+    scale_free = q - p <= one_root_span(n, p, alpha)
     scale = max(1.0, float(d)) if scale_free else 1.0
     traj = _trial(n, p, q, alpha, d, tol, scale)
     if keep is not None:
@@ -367,15 +368,13 @@ def solve_henon(n: int, p: float, q: float, alpha: float, *,
     def relaxed_miss(d):
         nonlocal trials
         trials += 1
-        return shooting_miss(n, p, q, alpha, d, tol=relaxed,
-                             scale_free=not scan)
+        return shooting_miss(n, p, q, alpha, d, tol=relaxed)
 
     def full_miss(d):
         nonlocal trials
         trials += 1
         kept.clear()  # Brent's root is nearly always its last trial
-        return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept,
-                             scale_free=not scan)
+        return shooting_miss(n, p, q, alpha, d, tol=tol, keep=kept)
 
     def centre_miss(d):
         nonlocal full

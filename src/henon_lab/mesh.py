@@ -1,4 +1,6 @@
-"""Graded radial grids on [0, 1], per-cell Gauss quadrature, and P1 form assembly.
+"""Graded radial grids on [0, 1], per-cell Gauss quadrature, P1 form assembly,
+and radial profiles, which evaluate as P1 functions on the nodes unless a
+solver attaches its dense output.
 
 The grids serve three weighted measures at once: r^(n-1) (volume), r^(n-3)
 (angular term of the reduced forms), and r^(alpha+n-1) (boundary-concentrated
@@ -117,8 +119,8 @@ def build_grid(n: int, refinement: int = 8,
         Doubling level in [1, 12]; node count grows ~2x per level.  A
         float or a bool raises ValueError, as for n.
     alpha_hint : float
-        If positive, the boundary layer [1 - 10/alpha, 1] receives at least
-        50 nodes with quadratic clustering toward r = 1.
+        Finite and >= 0.  If positive, the boundary layer [1 - 10/alpha, 1]
+        receives at least 50 nodes with quadratic clustering toward r = 1.
     """
     check_dimension(n)
     if (isinstance(refinement, bool)
@@ -126,8 +128,9 @@ def build_grid(n: int, refinement: int = 8,
             or not 1 <= refinement <= MAX_REFINEMENT):
         raise ValueError(f"refinement must be an integer in "
                          f"[1, {MAX_REFINEMENT}], got {refinement!r}")
-    if alpha_hint < 0:
-        raise ValueError(f"alpha_hint must be >= 0, got {alpha_hint}")
+    if not 0.0 <= alpha_hint < np.inf:  # NaN fails too
+        raise ValueError(f"alpha_hint must be finite and >= 0, "
+                         f"got {alpha_hint}")
     m = max(3, -(-n // 2))
 
     base_cells = 2 ** refinement
@@ -152,39 +155,16 @@ def build_grid(n: int, refinement: int = 8,
                       quad_cell=cell, quad_points=m)
 
 
-def _hermite_pieces(nodes, r):
-    r = np.asarray(r, dtype=float)
-    idx = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    t = (r - nodes[idx]) / h
-    return idx, h, t
-
-
-def _hermite_value(nodes, values, derivs, r):
-    idx, h, t = _hermite_pieces(nodes, r)
-    t2, t3 = t * t, t * t * t
-    return ((2 * t3 - 3 * t2 + 1) * values[idx]
-            + (t3 - 2 * t2 + t) * h * derivs[idx]
-            + (-2 * t3 + 3 * t2) * values[idx + 1]
-            + (t3 - t2) * h * derivs[idx + 1])
-
-
-def _hermite_derivative(nodes, values, derivs, r):
-    idx, h, t = _hermite_pieces(nodes, r)
-    t2 = t * t
-    return ((6 * t2 - 6 * t) * values[idx] / h
-            + (3 * t2 - 4 * t + 1) * derivs[idx]
-            + (-6 * t2 + 6 * t) * values[idx + 1] / h
-            + (3 * t2 - 2 * t) * derivs[idx + 1])
-
-
 @dataclass
 class RadialFunction:
     """A radial profile: values and derivative values on the grid nodes.
 
     Solvers that know the profile between nodes (dense ODE output) attach
-    evaluator closures; otherwise evaluation falls back to piecewise cubic
-    Hermite interpolation of the stored nodal data.
+    evaluator closures.  Otherwise the profile is the P1 function on the
+    nodes, which is what the nodal solvers compute: its value at r
+    interpolates linearly, and its derivative at r is the slope of the cell
+    that holds r (a node takes the cell on its right, the last node the
+    last cell).  `derivatives` stays a nodal table for output.
     """
 
     grid: RadialGrid
@@ -196,12 +176,15 @@ class RadialFunction:
     def __call__(self, r):
         if self._value_fn is not None:
             return self._value_fn(r)
-        return _hermite_value(self.grid.nodes, self.values, self.derivatives, r)
+        return np.interp(r, self.grid.nodes, self.values)
 
     def derivative(self, r):
         if self._deriv_fn is not None:
             return self._deriv_fn(r)
-        return _hermite_derivative(self.grid.nodes, self.values, self.derivatives, r)
+        nodes = self.grid.nodes
+        cell = np.clip(np.searchsorted(nodes, r, side="right") - 1,
+                       0, nodes.size - 2)
+        return self.grid.cell_slopes(self.values)[cell]
 
     @classmethod
     def from_nodes(cls, grid: RadialGrid, values: np.ndarray) -> RadialFunction:

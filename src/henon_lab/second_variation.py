@@ -40,9 +40,11 @@ from .henon import HenonSolution
 from .mesh import (ZERO_PIVOT, RadialFunction, RadialGrid, TridiagForm,
                    assemble_forms, ldlt, negative_pivots)
 from .mesh import ldlt_solve as solve_banded  # perfbench counts this name
+from .steklov import SteklovSolution
 
 __all__ = ["PencilResult", "pencil_forms", "second_variation_forms",
-           "pencil_min_eig", "min_second_variation", "eigenprofile_steepness",
+           "limit_form_matrix", "limit_form_min_numeric", "pencil_min_eig",
+           "min_second_variation", "eigenprofile_steepness",
            "EigenprofileReport", "eigenprofile_properties"]
 
 # `pencil_min_eig` certifies |sigma - rho| <= SIGMA_TOL max(1, |rho|) for
@@ -57,8 +59,8 @@ def pencil_forms(grid: RadialGrid, *, p: float, n: int, q: float,
     """Assemble (A, B) for the given profile evaluators.
 
     mu = 0 drops the focusing term, which turns A into the limiting form of
-    the Steklov eigenfunction; the stability analysis leans on that shared
-    code path.
+    the Steklov eigenfunction (`limit_form_matrix`); the stability analysis
+    leans on that shared code path.
     """
     if not (isinstance(ell, (int, np.integer)) and ell >= 1):
         raise ValueError(f"angular index must be an integer >= 1, got {ell!r}")
@@ -101,6 +103,45 @@ def second_variation_forms(sol: HenonSolution, ell: int = 1,
     return pencil_forms(grid, p=sol.p, n=sol.n, q=sol.q, alpha=sol.alpha,
                         mu=sol.mu, value_fn=sol.v, deriv_fn=sol.v.derivative,
                         ell=ell)
+
+
+def limit_form_matrix(sol: SteklovSolution,
+                      grid: RadialGrid | None = None) -> TridiagForm:
+    """P1 matrix of the limiting quadratic form
+
+        Q[w] = int_0^1 [ (p-1)(phi') ^(p-2) w'^2 r^(n-1)
+                         + (n-1)(phi')^(p-2) w^2 r^(n-3)
+                         + (p-1) phi^(p-2) w^2 r^(n-1) ] dr.
+
+    It is the mode-1 form A of `pencil_forms` at mu = 0, where q and alpha
+    drop out, with phi_p in place of v.
+    """
+    if grid is None:
+        grid = sol.grid
+    a_form, _ = pencil_forms(grid, p=sol.p, n=sol.n, q=2.0, alpha=0.0, mu=0.0,
+                             value_fn=sol.phi, deriv_fn=sol.phi.derivative)
+    return a_form
+
+
+def limit_form_min_numeric(sol: SteklovSolution,
+                           grid: RadialGrid | None = None
+                           ) -> tuple[float, RadialFunction]:
+    """Minimize the limiting form over P1 functions with w(1) = 1.
+
+    The constrained minimum solves the interior tridiagonal system with the
+    boundary column moved to the right-hand side; the matrix is symmetric
+    positive definite, so an LDL^T solve without pivoting suffices.
+    """
+    if grid is None:
+        grid = sol.grid
+    form = limit_form_matrix(sol, grid)
+    m = form.size - 1  # interior unknowns, node m is pinned at 1
+    rhs = np.zeros(m)
+    rhs[-1] = -form.off[m - 1]
+    w = np.empty(form.size)
+    w[:m] = solve_banded(*ldlt(form.diag[:m], form.off[:m - 1]), rhs)
+    w[m] = 1.0
+    return float(form.quad_form(w)), RadialFunction.from_nodes(grid, w)
 
 
 def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm

@@ -39,21 +39,32 @@ _P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
 _P_LOC_TOL = 1e-6    # bracket width at which the p_loc root solve stops
 
 
-def conjugate_exponent(p: float) -> float:
-    """Holder conjugate p' = p/(p-1)."""
+def _check_exponent(p: float) -> None:
+    """Every power 1/(p-1) below needs p > 1 (NaN fails too)."""
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
+
+
+def conjugate_exponent(p: float) -> float:
+    """Holder conjugate p' = p/(p-1)."""
+    _check_exponent(p)
     return p / (p - 1.0)
 
 
 def kappa_value(n: int, p: float) -> float:
     """kappa = n^(-1/(p-1)) (p-1), the exponent rate in the eigenvalue bound."""
+    _check_exponent(p)
     return n ** (-1.0 / (p - 1.0)) * (p - 1.0)
 
 
 def compute_k(n: int, p: float, q: float,
               lambda_p: float | None = None) -> float:
-    """Stability constant K(n, p, q); positive means the mode is stable."""
+    """Stability constant K(n, p, q); positive means the mode is stable.
+
+    K is affine in q, so a non-finite q raises ValueError: its K would be
+    NaN or infinite, not a sign."""
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     if lambda_p is None:
         lambda_p = steklov_eigenvalue(n, p)
     return (stability_scale(n, p, lambda_p)
@@ -134,6 +145,7 @@ def compute_ipn(n: int, p: float) -> float:
 
 def t_star(n: int, p: float) -> float:
     """Evaluation point t_{p,n} = n^(-1/(p-1)) p/(n + p') of the lower bound."""
+    _check_exponent(p)
     return n ** (-1.0 / (p - 1.0)) * p / (n + conjugate_exponent(p))
 
 

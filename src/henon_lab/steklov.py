@@ -19,13 +19,11 @@ import numpy as np
 from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
                        step_quadrature)
-from .mesh import (RadialFunction, RadialGrid, TridiagForm, build_grid,
-                   check_dimension, ldlt, ldlt_solve)
+from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
 from .special import bessel_i, bessel_i_prime, surface_measure
 
 __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
-           "bessel_lambda2", "limit_form_matrix", "limit_form_min_closed",
-           "limit_form_min_numeric"]
+           "bessel_lambda2", "limit_form_min_closed"]
 
 
 def _validate(n: int, p: float) -> None:
@@ -129,6 +127,7 @@ def limit_form_min_closed(n: int, p: float,
 
     The minimizer is proportional to phi_p' and the minimum value is
     lambda_p^(2/p - 1/(p-1) - 1) |S|^(2/p - 1) (1 - (n-1) lambda_p).
+    `second_variation.limit_form_min_numeric` is the P1 counterpart.
     """
     _validate(n, p)
     if lambda_p is None:
@@ -136,45 +135,3 @@ def limit_form_min_closed(n: int, p: float,
     meas = surface_measure(n)
     return (lambda_p ** (2.0 / p - 1.0 / (p - 1.0) - 1.0)
             * meas ** (2.0 / p - 1.0) * (1.0 - (n - 1.0) * lambda_p))
-
-
-def limit_form_matrix(sol: SteklovSolution,
-                      grid: RadialGrid | None = None) -> TridiagForm:
-    """P1 matrix of the limiting quadratic form
-
-        Q[w] = int_0^1 [ (p-1)(phi') ^(p-2) w'^2 r^(n-1)
-                         + (n-1)(phi')^(p-2) w^2 r^(n-3)
-                         + (p-1) phi^(p-2) w^2 r^(n-1) ] dr.
-
-    It is the mode-1 form A of `second_variation.pencil_forms` at mu = 0,
-    where q and alpha drop out, with phi_p in place of v.
-    """
-    # second_variation imports henon, which imports this module.
-    from .second_variation import pencil_forms
-
-    if grid is None:
-        grid = sol.grid
-    a_form, _ = pencil_forms(grid, p=sol.p, n=sol.n, q=2.0, alpha=0.0, mu=0.0,
-                             value_fn=sol.phi, deriv_fn=sol.phi.derivative)
-    return a_form
-
-
-def limit_form_min_numeric(sol: SteklovSolution,
-                           grid: RadialGrid | None = None
-                           ) -> tuple[float, RadialFunction]:
-    """Minimize the limiting form over P1 functions with w(1) = 1.
-
-    The constrained minimum solves the interior tridiagonal system with the
-    boundary column moved to the right-hand side; the matrix is symmetric
-    positive definite, so an LDL^T solve without pivoting suffices.
-    """
-    if grid is None:
-        grid = sol.grid
-    form = limit_form_matrix(sol, grid)
-    m = form.size - 1  # interior unknowns, node m is pinned at 1
-    rhs = np.zeros(m)
-    rhs[-1] = -form.off[m - 1]
-    w = np.empty(form.size)
-    w[:m] = ldlt_solve(*ldlt(form.diag[:m], form.off[:m - 1]), rhs)
-    w[m] = 1.0
-    return float(form.quad_form(w)), RadialFunction.from_nodes(grid, w)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cli_child import PACKAGE_PARENT, run_cli
-from henon_lab import (admissible_q_upper, cli, compute_ipn, solve_henon,
-                       solve_steklov)
+from cli_child import PACKAGE_PARENT, parse_record, run_cli
+from henon_lab import (admissible_q_upper, cli, compute_ipn, compute_k,
+                       solve_henon, solve_steklov)
 from henon_lab.cli import trapezoid_quotient
 
 SCHEMA = "henon-lab/1"
@@ -25,7 +25,7 @@ SCHEMA = "henon-lab/1"
 
 def record_of(proc):
     assert proc.stdout, proc.stderr
-    return json.loads(proc.stdout)
+    return parse_record(proc.stdout)
 
 
 def read_profile(path):
@@ -98,8 +98,7 @@ def test_oracle_gap_above_its_tolerance_is_a_solver_error():
     proc = run_cli(*argv)
     assert code == proc.returncode == 1
     assert out.getvalue() == proc.stdout
-    record, end = json.JSONDecoder().raw_decode(proc.stdout)
-    assert not proc.stdout[end:].strip()
+    record = parse_record(proc.stdout)
     assert record["error"]["type"] == "ConvergenceError"
     message = record["error"]["message"]
     assert "oracle mu 4.014" in message and "shooting mu 1.179" in message
@@ -303,7 +302,7 @@ def test_sweep(tmp_path):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["sweep", str(bad)])
         assert code == 2, (key, value)
-        rec = json.loads(out.getvalue())
+        rec = parse_record(out.getvalue())
         assert rec["error"]["type"] == "ValueError"
         assert rec["error"]["message"].startswith(key), rec
         assert "results" not in rec
@@ -317,7 +316,7 @@ def test_sweep(tmp_path):
 
 # (CLI arguments, the same input in-process, the parameter to be named).
 # The stability command stops at the Steklov validator; compute_ipn has its
-# own.
+# own, and so has compute_k for q, whose K would be NaN or infinite.
 NON_FINITE = [
     (("radial", "--n", "4", "--p", "2", "--q", "3", "--alpha", "inf"),
      lambda: solve_henon(4, 2.0, 3.0, math.inf), "alpha"),
@@ -331,7 +330,9 @@ NON_FINITE = [
       "nan"), lambda: solve_henon(4, 2.0, 3.0, 50.0, tol=math.nan), "tol"),
     (("steklov", "--n", "3", "--p", "2", "--tol", "inf"),
      lambda: solve_steklov(3, 2.0, tol=math.inf), "tol"),
-]
+] + [(("stability", "--n", "4", "--p", "2.5", "--q", text),
+      lambda value=float(text): compute_k(4, 2.5, value), "q")
+     for text in ("nan", "inf", "-inf")]
 
 
 def names_bad_value(message: str, name: str) -> bool:
@@ -369,7 +370,7 @@ def test_negative_value_in_exponent_form_is_a_value(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
     assert code == 2
-    assert json.loads(out.getvalue())["error"]["type"] == "ValueError"
+    assert parse_record(out.getvalue())["error"]["type"] == "ValueError"
 
 
 def test_unrepresentable_origin_value_is_a_solver_error(tmp_path):
@@ -424,7 +425,6 @@ def test_radial_prints_one_record_and_a_known_exit_code(args):
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-    record, end = json.JSONDecoder().raw_decode(out.getvalue())
-    assert not out.getvalue()[end:].strip()
+    record = parse_record(out.getvalue())
     assert code == (0 if "error" not in record else
                     1 if record["error"]["type"] != "ValueError" else 2)

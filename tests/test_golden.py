@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_child import parse_record
 from henon_lab import cli
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
@@ -58,7 +59,7 @@ def run_in_process(command: str) -> tuple[int, dict]:
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(shlex.split(command))
-    return code, json.loads(out.getvalue())
+    return code, parse_record(out.getvalue())
 
 
 def mismatches(got, want, path="$"):

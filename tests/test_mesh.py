@@ -68,8 +68,9 @@ def test_grid_validation():
             solve(8.0)
     assert build_grid(4, refinement=np.int64(8)).num_nodes == \
         build_grid(4, refinement=8).num_nodes
-    with pytest.raises(ValueError, match="alpha_hint"):
-        build_grid(4, alpha_hint=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha_hint"):
+            build_grid(4, alpha_hint=bad)
 
 
 def test_slope_helpers():
@@ -88,11 +89,24 @@ def test_slope_helpers():
 
 
 def test_radial_function_interpolation():
-    grid = build_grid(4, refinement=7)
-    f = RadialFunction(grid, np.sin(grid.nodes), np.cos(grid.nodes))
+    # Without evaluators a profile is the P1 function on its nodes: exact on
+    # linear data, and its derivative is the slope of the cell holding r,
+    # the cell on the right at a node and the last cell at r = 1.  The
+    # nodal derivative table plays no part.
+    grid = build_grid(4, refinement=4)
+    x = grid.nodes
+    line = RadialFunction(grid, 2.0 - 3.0 * x, np.zeros_like(x))
     r = np.linspace(0.0, 1.0, 701)
-    assert np.max(np.abs(f(r) - np.sin(r))) < 1e-8
-    assert np.max(np.abs(f.derivative(r) - np.cos(r))) < 1e-6
+    assert np.max(np.abs(line(r) - (2.0 - 3.0 * r))) <= 1e-14
+    assert np.max(np.abs(line.derivative(r) + 3.0)) <= 1e-12
+    f = RadialFunction.from_nodes(grid, x ** 2)
+    slopes = grid.cell_slopes(f.values)
+    mids = 0.5 * (x[:-1] + x[1:])
+    assert np.array_equal(f(mids), 0.5 * (f.values[:-1] + f.values[1:]))
+    assert np.array_equal(f.derivative(mids), slopes)
+    assert np.array_equal(f.derivative(x[:-1]), slopes)
+    assert f.derivative(1.0) == slopes[-1]
+    assert f(x[3]) == f.values[3]
     assert f.origin_value == f.values[0]
     assert f.boundary_value == f.values[-1]
 

@@ -1,24 +1,25 @@
 """Second-variation pencil: assembly identities, eigensolver, diagnostics."""
 import contextlib
 import io
-import json
 import time
 
 import numpy as np
 import pytest
 
+from cli_child import parse_record
 from henon_lab import cli, second_variation
 from henon_lab.errors import ConvergenceError
 from henon_lab.mesh import TridiagForm, build_grid, negative_pivots
 from henon_lab.second_variation import (dense_min_eig,
                                         eigenprofile_properties,
                                         eigenprofile_steepness,
+                                        limit_form_matrix,
                                         min_second_variation, pencil_forms,
                                         pencil_min_eig,
                                         second_variation_forms)
 from henon_lab.henon import critical_exponent, solve_henon
 from henon_lab.stability import compute_k, find_p_loc
-from henon_lab.steklov import limit_form_matrix, steklov_eigenvalue
+from henon_lab.steklov import steklov_eigenvalue
 
 
 def _const_forms(grid, **overrides):
@@ -247,8 +248,7 @@ def _cli_solver_error():
         code = cli.main(["second-variation", "--n", "4", "--p", "2", "--q",
                          "3", "--alpha", "400", "--refine", "6"])
     assert code == 1
-    record, end = json.JSONDecoder().raw_decode(out.getvalue())
-    assert not out.getvalue()[end:].strip()
+    record = parse_record(out.getvalue())
     assert record["error"]["type"] == "ConvergenceError"
     return record["error"]
 

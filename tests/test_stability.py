@@ -43,8 +43,11 @@ Q_LOC_4_2 = 5.843199476101696284  # 1 + (1 - 3 lambda)/lambda^2 at n = 4
 def test_scalar_helpers():
     assert conjugate_exponent(2.0) == 2.0
     assert conjugate_exponent(3.0) == 1.5
-    with pytest.raises(ValueError, match="exceed 1"):
-        conjugate_exponent(1.0)
+    for helper in (conjugate_exponent, lambda p: kappa_value(4, p),
+                   lambda p: t_star(4, p), lambda p: tau_star(4, p)):
+        for bad in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="exceed 1"):
+                helper(bad)
     assert abs(kappa_value(3, 2.0) - 1.0 / 3.0) <= 1e-15
     assert abs(t_star(3, 2.0) - 2.0 / 15.0) <= 1e-15
     # tau formula against a hand evaluation at (3, 2).
@@ -63,6 +66,9 @@ def test_k_values():
     diffs = np.diff(ks)
     assert np.all(diffs < 0.0)
     assert abs(diffs[0] - diffs[1]) <= 1e-12 and abs(diffs[1] - diffs[2]) <= 1e-12
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q must be finite"):
+            compute_k(4, 2.5, bad, lam)
 
 
 def test_ipn_and_eigenvalue_bound():

@@ -4,10 +4,10 @@ import pytest
 
 from henon_lab.errors import ConvergenceError
 from henon_lab.mesh import MAX_DIMENSION, build_grid
+from henon_lab.second_variation import limit_form_min_numeric
 from henon_lab.special import surface_measure
 from henon_lab.steklov import (bessel_lambda2, limit_form_min_closed,
-                               limit_form_min_numeric, solve_steklov,
-                               steklov_eigenvalue)
+                               solve_steklov, steklov_eigenvalue)
 
 # lambda_2(n) = 1 - n/2 + I'_(n/2-1)(1)/I_(n/2-1)(1), 30-digit evaluations.
 LAMBDA2 = {

@@ -1,10 +1,10 @@
 """Direct quotient minimization against the shooting route."""
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
+from cli_child import parse_record
 from henon_lab import cli, variational
 from henon_lab.errors import ConvergenceError
 from henon_lab.mesh import build_grid
@@ -46,10 +46,7 @@ def test_minimizer_normalized():
     dvals = var.v.derivative(rs)
     norm_p = surface_measure(4) * np.dot(
         wq, (np.abs(dvals) ** 2 + vals ** 2) * rs ** 3)
-    # Nodal renormalization is exact; quadrature of the P1 interpolant of
-    # the derivative differs from the cellwise slopes by the stitching at
-    # the nodes only.
-    assert abs(norm_p - 1.0) <= 5e-2
+    assert abs(norm_p - 1.0) <= 1e-12
     assert np.all(vals > 0.0)
     assert vals[-1] > vals[0]  # boundary-concentrating shape
 
@@ -130,6 +127,6 @@ def test_cli_reports_non_finite_oracle(monkeypatch, capsys):
                      "--alpha", "25", "--oracle"])
     out = capsys.readouterr()
     assert code == 1
-    record = json.loads(out.out)
+    record = parse_record(out.out)
     assert record["error"]["type"] == "ConvergenceError"
     assert "Warning" not in out.err
