@@ -27,7 +27,7 @@ from .second_variation import (EigenprofileReport, PencilResult,
                                limit_form_min_numeric, min_second_variation,
                                pencil_forms, pencil_min_eig,
                                second_variation_forms)
-from .special import bessel_i, bessel_i_prime, gamma_fn, surface_measure
+from .special import bessel_i, surface_measure
 from .stability import (AppendixTableRow, ChainLink, ChainReport,
                         appendix_table, compute_ipn, compute_k,
                         conjugate_exponent, find_p_loc, find_q_loc, g_tilde,
@@ -43,7 +43,7 @@ __all__ = [
     "SolverError", "BracketError", "ConvergenceError", "IntegrationError",
     "RadialGrid", "RadialFunction", "TridiagForm", "assemble_forms",
     "build_grid",
-    "bessel_i", "bessel_i_prime", "gamma_fn", "surface_measure",
+    "bessel_i", "surface_measure",
     "SteklovSolution", "steklov_eigenvalue", "solve_steklov",
     "bessel_lambda2", "limit_form_min_closed", "limit_form_min_numeric",
     "limit_form_matrix",

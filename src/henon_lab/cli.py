@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -283,10 +284,13 @@ def _run_sweep(args) -> dict:
 
     tasks = [(i, point, refinement, tol, output_dir)
              for i, point in enumerate(points)]
-    if parallelism > 1 and len(tasks) > 1:
+    # The pool starts all its workers up front, so ask for no more than
+    # there are points and cores.
+    workers = min(parallelism, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))  # input order
     else:
         results = [_sweep_point(task) for task in tasks]

@@ -7,7 +7,10 @@ a quadratic form whose minimum over boundary-normalized increments is
                  (lambda_p^(-p/(p-1)) (1 - (n-1) lambda_p) - (q-1)).
 
 K is affine and strictly decreasing in q, so its sign yields a threshold
-q_loc(n, p); pushing q to the critical exponent yields a threshold p_loc(n).
+q_loc(n, p) and K = lambda_p^(2/p) |S|^(2/p-1) (q_loc - q).  Pushing q to
+the critical exponent yields a threshold p_loc(n): K(n, p, p*(p)) is
+positive at p = 2 and changes sign once on [2, n - 0.05], so p_loc is a
+single bracketed root solve there.
 The positivity of K(n, p, p) rests on an inequality chain for the eigenvalue
 bound lambda_p <= (1 - I_{p,n})/n; every link of that chain, including the
 20-row table for G-tilde, is evaluated here with explicit margins.
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .henon import critical_exponent
 from .mesh import check_dimension
-from .rootfind import brent_root, sign_change_pairs
+from .rootfind import brent_root
 from .special import surface_measure
 from .steklov import steklov_eigenvalue
 
@@ -35,8 +37,7 @@ __all__ = ["AppendixTableRow", "ChainLink", "ChainReport", "compute_k",
 
 _E = math.e
 _EPS = sys.float_info.epsilon
-_P_SCAN_POINTS = 41  # trial p values across [2, n - 0.05] to bracket p_loc
-_P_LOC_TOL = 1e-6    # bracket width at which the p_loc root solve stops
+_P_LOC_TOL = 1e-8  # bracket width at which the p_loc root solve stops
 
 
 def _check_exponent(p: float) -> None:
@@ -68,8 +69,7 @@ def compute_k(n: int, p: float, q: float,
     if lambda_p is None:
         lambda_p = steklov_eigenvalue(n, p)
     return (stability_scale(n, p, lambda_p)
-            * (lambda_p ** (-p / (p - 1.0)) * (1.0 - (n - 1.0) * lambda_p)
-               - (q - 1.0)))
+            * (find_q_loc(n, p, lambda_p=lambda_p) - q))
 
 
 def stability_scale(n: int, p: float, lambda_p: float | None = None) -> float:
@@ -92,30 +92,18 @@ def find_q_loc(n: int, p: float, *, lambda_p: float | None = None) -> float:
 
 
 def find_p_loc(n: int) -> float:
-    """Smallest p in (2, n) with K(n, p, p*(p)) = 0.
+    """Root p in (2, n - 0.05) of K(n, p, p*(p)) = 0.
 
-    Below p_loc even the critical exponent is stable.  Returns n (capped)
-    when K(n, p, p*) stays positive over the scanned range.  The eigenvalue
-    is recomputed for every trial p.
+    Below p_loc even the critical exponent is stable.  K(n, p, p*) is
+    positive at p = 2 and negative at p = n - 0.05 for every admitted n,
+    with one sign change between, so Brent's method runs on that bracket
+    directly; a bracket without a sign change raises BracketError.  The
+    eigenvalue is recomputed for every trial p.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 4):
         raise ValueError(f"p_loc needs an integer dimension >= 4, got {n!r}")
-
-    def k_at_critical(p):
-        return compute_k(n, p, critical_exponent(n, p))
-
-    ps = np.linspace(2.0, n - 0.05, _P_SCAN_POINTS)
-    ks = [k_at_critical(p) for p in ps]
-    change = sign_change_pairs(ks)
-    if not change:
-        if all(k > 0.0 for k in ks):
-            return float(n)
-        raise ConvergenceError(
-            f"K(n,p,p*) is negative over all of [2, {n - 0.05}] at n={n}")
-    i = change[0]
-    return brent_root(k_at_critical, float(ps[i]), float(ps[i + 1]),
-                      f_tol=1e-9 * (abs(ks[i]) + abs(ks[i + 1])),
-                      x_tol=_P_LOC_TOL, fa=ks[i], fb=ks[i + 1])
+    return brent_root(lambda p: compute_k(n, p, critical_exponent(n, p)),
+                      2.0, n - 0.05, f_tol=0.0, x_tol=_P_LOC_TOL)
 
 
 def compute_ipn(n: int, p: float) -> float:

@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .flux_ode import (SEED_RADIUS, FluxState, integrate_flux_ode,
                        step_quadrature)
 from .mesh import RadialFunction, RadialGrid, build_grid, check_dimension
-from .special import bessel_i, bessel_i_prime, surface_measure
+from .special import bessel_i, surface_measure
 
 __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
            "bessel_lambda2", "limit_form_min_closed"]
@@ -28,8 +28,8 @@ __all__ = ["SteklovSolution", "steklov_eigenvalue", "solve_steklov",
 
 def _validate(n: int, p: float) -> None:
     check_dimension(n)
-    if not 2.0 <= p < np.inf:
-        raise ValueError(f"p must be finite and >= 2, got {p}")
+    if not 2.0 <= p <= n:
+        raise ValueError(f"need 2 <= p <= n, got p={p} at n={n}")
 
 
 def _shoot(n: int, p: float, tol: float):
@@ -111,18 +111,18 @@ def solve_steklov(n: int, p: float, *, refinement: int = 8,
 
 
 def bessel_lambda2(n: int) -> float:
-    """Closed form for p = 2: lambda_2 = 1 - n/2 + I'_(n/2-1)(1) / I_(n/2-1)(1).
+    """Closed form for p = 2: lambda_2 = I_(n/2)(1) / I_(n/2-1)(1).
 
-    The p = 2 eigenfunction is r^(1-n/2) I_(n/2-1)(r); differentiating and
-    evaluating the boundary quotient gives this expression.
+    The p = 2 eigenfunction is r^(1-n/2) I_(n/2-1)(r), whose boundary
+    quotient is 1 - n/2 + I'_(n/2-1)(1) / I_(n/2-1)(1); the recurrence
+    I'_nu = I_(nu+1) + (nu/x) I_nu turns it into a ratio of two positive
+    series, free of the cancellation in the derivative form.
     """
     check_dimension(n)
-    nu = n / 2.0 - 1.0
-    return 1.0 - n / 2.0 + bessel_i_prime(nu, 1.0) / bessel_i(nu, 1.0)
+    return bessel_i(n / 2.0, 1.0) / bessel_i(n / 2.0 - 1.0, 1.0)
 
 
-def limit_form_min_closed(n: int, p: float,
-                          lambda_p: float | None = None) -> float:
+def limit_form_min_closed(n: int, p: float, lambda_p: float) -> float:
     """Minimum of the limiting quadratic form over {w : w(1) = 1}, closed form.
 
     The minimizer is proportional to phi_p' and the minimum value is
@@ -130,8 +130,6 @@ def limit_form_min_closed(n: int, p: float,
     `second_variation.limit_form_min_numeric` is the P1 counterpart.
     """
     _validate(n, p)
-    if lambda_p is None:
-        lambda_p = steklov_eigenvalue(n, p)
     meas = surface_measure(n)
     return (lambda_p ** (2.0 / p - 1.0 / (p - 1.0) - 1.0)
             * meas ** (2.0 / p - 1.0) * (1.0 - (n - 1.0) * lambda_p))

@@ -23,13 +23,20 @@ import henon_lab
 PACKAGE_PARENT = str(Path(henon_lab.__file__).absolute().parents[1])
 
 
+# Far above every criterion budget: a hung child fails its test with
+# TimeoutExpired instead of stalling the suite.
+CHILD_TIMEOUT_S = 120.0
+
+
 def run_cli(*args: str, cwd=None, text: bool = True):
-    """Run the CLI with `args`; never raises on a non-zero exit code."""
+    """Run the CLI with `args`; never raises on a non-zero exit code, but
+    raises subprocess.TimeoutExpired past CHILD_TIMEOUT_S."""
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [PACKAGE_PARENT, inherited])))
     return subprocess.run([sys.executable, "-m", "henon_lab", *args],
-                          capture_output=True, text=text, cwd=cwd, env=env)
+                          capture_output=True, text=text, cwd=cwd, env=env,
+                          timeout=CHILD_TIMEOUT_S)
 
 
 def _reject_constant(token: str):

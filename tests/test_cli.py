@@ -175,6 +175,16 @@ def test_exit_codes(tmp_path):
     assert proc.returncode == 2
     assert record_of(proc)["error"]["type"] == "ValueError"
 
+    # p above n is refused before the shot, which at large p crawls at the
+    # float overflow edge instead of finishing.
+    for command in ("steklov", "stability"):
+        proc = run_cli(command, "--n", "4", "--p", "1e5")
+        assert proc.returncode == 2
+        rec = record_of(proc)
+        assert list(rec) == ["command", "error", "schema"]
+        assert rec["error"]["type"] == "ValueError"
+        assert "p=100000.0" in rec["error"]["message"], rec
+
     # argparse problems: usage on stderr, nothing on stdout.
     proc = run_cli("steklov", "--n", "3", "--p", "2", "--bogus")
     assert proc.returncode == 2
@@ -312,6 +322,51 @@ def test_sweep(tmp_path):
     proc = run_cli("sweep", str(empty))
     assert proc.returncode == 0
     assert record_of(proc)["results"]["points"] == []
+
+
+def test_sweep_pool_is_capped_by_points_and_cores(tmp_path, monkeypatch):
+    # A pool forks all its workers at start, so a huge `parallelism` must
+    # not reach it.  The stand-in records the request and maps serially.
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    point = {"n": 4, "p": 2.0, "q": 3.0, "alpha": 10.0}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"points": [point, point], "refinement": 5,
+                               "parallelism": 5000}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["sweep", str(cfg)])
+    assert code == 0
+    assert requested == [2]
+    rec = parse_record(out.getvalue())
+    assert rec["inputs"]["parallelism"] == 5000
+    first, second = rec["results"]["points"]
+    assert first["mu"] == second["mu"] > 0.0
+
+    # One core: no pool at all, however many points and workers are asked.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["sweep", str(cfg)]) == 0
+    assert requested == [2]
 
 
 # (CLI arguments, the same input in-process, the parameter to be named).

@@ -6,6 +6,7 @@ import pytest
 
 from henon_lab import steklov
 from henon_lab.errors import ConvergenceError
+from henon_lab.rootfind import sign_change_pairs
 from henon_lab.stability import (appendix_table, compute_ipn, compute_k,
                                  conjugate_exponent, find_p_loc, find_q_loc,
                                  g_cap, g_cap_derivative, g_small, g_tilde,
@@ -133,6 +134,35 @@ def test_p_loc():
     assert abs(k) <= 1e-7 * stability_scale(4, p_loc)
     with pytest.raises(ValueError, match="integer dimension >= 4"):
         find_p_loc(3)
+
+
+def test_p_loc_bracket_has_one_sign_change():
+    # The premise of the single bracket in find_p_loc: K(n, p, p*(p)) is
+    # positive at p = 2 and changes sign exactly once on [2, n - 0.05].
+    from henon_lab.henon import critical_exponent
+    for n in (4, 5, 6, 12, 76):
+        ks = [compute_k(n, p, critical_exponent(n, p))
+              for p in np.linspace(2.0, n - 0.05, 41)]
+        assert ks[0] > 0.0, n
+        assert len(sign_change_pairs(ks)) == 1, n
+
+
+def test_p_loc_shot_count(monkeypatch):
+    shots = []
+    shoot = steklov._shoot
+
+    def counted(*args, **kwargs):
+        shots.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(steklov, "_shoot", counted)
+    from henon_lab.henon import critical_exponent
+    for n in (4, 5, 6):
+        shots.clear()
+        p_loc = find_p_loc(n)
+        assert len(shots) <= 12, (n, len(shots))
+        k = compute_k(n, p_loc, critical_exponent(n, p_loc))
+        assert abs(k) <= 1e-8 * stability_scale(n, p_loc), n
 
 
 def test_g_small_branches():

@@ -33,15 +33,17 @@ def test_highest_dimension_still_matches_bessel():
 
 
 def test_bessel_lambda2_matches_mpmath():
+    # The reference keeps the derivative form, so this also checks the
+    # recurrence that turns it into the ratio I_(n/2)(1) / I_(n/2-1)(1).
     import mpmath
 
-    for n in range(3, 11):
-        with mpmath.workdps(30):
+    for n in range(3, MAX_DIMENSION + 1):
+        with mpmath.workdps(40):
             nu = mpmath.mpf(n) / 2 - 1
             want = float(1 - mpmath.mpf(n) / 2
                          + mpmath.besseli(nu, 1, derivative=1)
                          / mpmath.besseli(nu, 1))
-        assert abs(bessel_lambda2(n) - want) <= 1e-12, n
+        assert abs(bessel_lambda2(n) - want) <= 1e-13 * want, n
 
 
 def test_eigenvalue_window_and_monotonicity():
