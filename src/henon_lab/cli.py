@@ -27,8 +27,8 @@ from .henon import MU_QUOTIENT_TOL, solve_henon
 from .second_variation import (SIGMA_TOL, eigenprofile_steepness,
                                min_second_variation)
 from .special import surface_measure
-from .stability import (appendix_table, compute_k, find_p_loc, find_q_loc,
-                        stability_scale, verify_appendix_chain)
+from .stability import (P_LOC_TOL, appendix_table, compute_k, find_p_loc,
+                        find_q_loc, stability_scale, verify_appendix_chain)
 from .steklov import bessel_lambda2, solve_steklov, steklov_eigenvalue
 from .variational import minimize_quotient
 
@@ -195,7 +195,7 @@ def _run_stability(args) -> dict:
         "links": [{"name": link.name, "margin": link.margin,
                    "holds": link.holds} for link in chain.links],
     }
-    tolerances = {"q_loc": 1e-6, "p_loc": 1e-6}
+    tolerances = {"q_loc": 1e-6, "p_loc": P_LOC_TOL}
     return _record("stability", inputs, results, tolerances, {}, {})
 
 

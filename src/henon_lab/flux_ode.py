@@ -108,27 +108,35 @@ class FluxTrajectory:
         return start + h * x * (c[:, 0] + x * (c[:, 1] + x * (c[:, 2]
                                                              + x * c[:, 3])))
 
+    def _series_value(self, r):
+        return (self.u0 + self.amp * (self.p - 1.0) / self.p
+                * r ** (1.0 + 1.0 / (self.p - 1.0)))
+
     def value_at(self, r):
         r = np.asarray(r, dtype=float)
-        series = (self.u0 + self.amp * (self.p - 1.0) / self.p
-                  * r ** (1.0 + 1.0 / (self.p - 1.0)))
         dense = self._states(np.maximum(r, SEED_RADIUS))[0]
-        return np.where(r < SEED_RADIUS, series, dense)
+        return np.where(r < SEED_RADIUS, self._series_value(r), dense)
 
-    def grad_at(self, r):
+    def profile_at(self, r):
+        """(u, u') at radii r from one evaluation of the dense output."""
         r = np.asarray(r, dtype=float)
-        series = self.amp * r ** (1.0 / (self.p - 1.0))
         above = np.maximum(r, SEED_RADIUS)
-        dense = grad_from_flux(self._states(above)[1], above, self.p, self.n)
-        return np.where(r < SEED_RADIUS, series, dense)
+        values, fluxes = self._states(above)
+        below = r < SEED_RADIUS
+        return (np.where(below, self._series_value(r), values),
+                np.where(below, self.amp * r ** (1.0 / (self.p - 1.0)),
+                         grad_from_flux(fluxes, above, self.p, self.n)))
 
     def tabulate(self, grid, scale) -> RadialFunction:
         """scale times the profile: nodal data on grid, and evaluators that
         read the dense output, so it is exact between the nodes too."""
-        return RadialFunction(grid, scale * self.value_at(grid.nodes),
-                              scale * self.grad_at(grid.nodes),
+        def profile(r):
+            values, slopes = self.profile_at(r)
+            return scale * values, scale * slopes
+
+        return RadialFunction(grid, *profile(grid.nodes),
                               _value_fn=lambda r: scale * self.value_at(r),
-                              _deriv_fn=lambda r: scale * self.grad_at(r))
+                              _profile_fn=profile)
 
 
 # Dormand-Prince 5(4): stage nodes, stage weights, fifth-order weights, and

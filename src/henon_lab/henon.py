@@ -302,8 +302,8 @@ def _finalize(n, p, q, alpha, grid, d0, traj, diagnostics) -> HenonSolution:
     """
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
-    yq = np.maximum(traj.value_at(rq), 0.0)
-    dyq = traj.grad_at(rq)
+    yq, dyq = traj.profile_at(rq)
+    yq = np.maximum(yq, 0.0)
     # An overflowing profile is caught by the finiteness check below; the
     # sums stay numpy floats, so D = 0 gives inf, not an exception.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

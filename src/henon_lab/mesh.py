@@ -9,6 +9,7 @@ the sampled integrand, so one grid serves all three measures.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,8 +98,18 @@ class RadialGrid:
         return (node_values[2:] - node_values[:-2]) / (x[2:] - x[:-2])
 
 
+@functools.cache
+def _gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The npts-point Gauss-Legendre rule on [-1, 1], computed once per
+    point count and shared read-only."""
+    rule = np.polynomial.legendre.leggauss(npts)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _gauss_cells(nodes: np.ndarray, npts: int):
-    gx, gw = np.polynomial.legendre.leggauss(npts)
+    gx, gw = _gauss_rule(npts)
     a = nodes[:-1]
     h = np.diff(nodes)
     x = (a[:, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
@@ -160,7 +171,8 @@ class RadialFunction:
     """A radial profile: values and derivative values on the grid nodes.
 
     Solvers that know the profile between nodes (dense ODE output) attach
-    evaluator closures.  Otherwise the profile is the P1 function on the
+    evaluator closures: r -> value, and r -> (value, derivative) from one
+    evaluation.  Otherwise the profile is the P1 function on the
     nodes, which is what the nodal solvers compute: its value at r
     interpolates linearly, and its derivative at r is the slope of the cell
     that holds r (a node takes the cell on its right, the last node the
@@ -171,7 +183,8 @@ class RadialFunction:
     values: np.ndarray
     derivatives: np.ndarray
     _value_fn: Callable | None = field(default=None, repr=False, compare=False)
-    _deriv_fn: Callable | None = field(default=None, repr=False, compare=False)
+    _profile_fn: Callable | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __call__(self, r):
         if self._value_fn is not None:
@@ -179,12 +192,16 @@ class RadialFunction:
         return np.interp(r, self.grid.nodes, self.values)
 
     def derivative(self, r):
-        if self._deriv_fn is not None:
-            return self._deriv_fn(r)
+        return self.value_and_derivative(r)[1]
+
+    def value_and_derivative(self, r):
+        """(value, derivative) at r, from one evaluation where dense."""
+        if self._profile_fn is not None:
+            return self._profile_fn(r)
         nodes = self.grid.nodes
         cell = np.clip(np.searchsorted(nodes, r, side="right") - 1,
                        0, nodes.size - 2)
-        return self.grid.cell_slopes(self.values)[cell]
+        return self(r), self.grid.cell_slopes(self.values)[cell]
 
     @classmethod
     def from_nodes(cls, grid: RadialGrid, values: np.ndarray) -> RadialFunction:
@@ -291,7 +308,7 @@ def _first_cell_rule(grid: RadialGrid, exponent: float):
     # Substitution t = r^exponent on the cell touching r = 0 keeps fractional
     # powers r^(1/(exponent)) of the weight smooth for the Gauss rule.
     r1 = grid.nodes[1]
-    gx, gw = np.polynomial.legendre.leggauss(grid.quad_points)
+    gx, gw = _gauss_rule(grid.quad_points)
     t_hi = r1 ** exponent
     t = 0.5 * t_hi * (gx + 1.0)
     w = 0.5 * t_hi * gw

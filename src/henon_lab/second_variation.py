@@ -14,24 +14,28 @@ sigma = min eig(A, B) decides stability of the mode: positive means the
 ground state is a strict local minimizer in that direction.  B is positive
 definite, so the minimum eigenvalue of the tridiagonal P1 matrices is found
 in three steps (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4 and 7):
-a coarse Sturm-sequence bracket, only narrow enough that inverse iteration
-shifted below it converges at rate 1/16; shifted inverse iteration, which
-stops on a backward error measured against |A||h|; and two Sturm counts
-at rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho
-as the smallest eigenvalue.  A refused certificate restarts inverse iteration
+a coarse Sturm-sequence bracket, anchored at 0 where sigma is far below
+the probe bound, bisected geometrically while it spans more than a factor
+4, and only narrow enough that a Rayleigh quotient near sigma can be proved
+nearer sigma than sigma_2; safeguarded Rayleigh-quotient iteration, which
+moves the shift to the Rayleigh quotient once that proof holds and stops
+on a backward error measured against |A||h|; and two Sturm counts at
+rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho as
+the smallest eigenvalue.  A refused certificate restarts inverse iteration
 once from a linear start vector; a missed backward error or a second
 refusal raises ConvergenceError.  Every step sweeps the LDL^T pivot
 recurrence of A - s B on plain floats, on numpy alone: a Sturm count runs
 the count-only sweep `mesh.negative_pivots`, and inverse iteration factors
-with `mesh.ldlt` once per shift and solves with `mesh.ldlt_solve`.  Each
-step forms A h and B h once.  The dense solve `dense_min_eig`, which loads
-scipy, is a reference for tests only.
+with `mesh.ldlt` once per shift, reads the factor's inertia into the
+bracket, and solves with `mesh.ldlt_solve`.  Each step forms A h and B h
+once.  The dense solve `dense_min_eig`, which loads scipy, is a reference
+for tests only.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -53,10 +57,9 @@ SIGMA_TOL = 1e-7
 
 
 def pencil_forms(grid: RadialGrid, *, p: float, n: int, q: float,
-                 alpha: float, mu: float, value_fn: Callable,
-                 deriv_fn: Callable, ell: int = 1
-                 ) -> tuple[TridiagForm, TridiagForm]:
-    """Assemble (A, B) for the given profile evaluators.
+                 alpha: float, mu: float, profile: RadialFunction,
+                 ell: int = 1) -> tuple[TridiagForm, TridiagForm]:
+    """Assemble (A, B) at the given profile.
 
     mu = 0 drops the focusing term, which turns A into the limiting form of
     the Steklov eigenfunction (`limit_form_matrix`); the stability analysis
@@ -68,13 +71,15 @@ def pencil_forms(grid: RadialGrid, *, p: float, n: int, q: float,
     muf = mu ** (q / p)
 
     def weights_a(r):
-        vals = np.abs(value_fn(r))
         # At p = 2 both powers below are x**0.0, which is 1.0 for every x
         # (NaN included), so the profile's slope is not evaluated at all.
         if p == 2.0:
+            vals = np.abs(profile(r))
             weight = power = 1.0
         else:
-            weight = np.abs(deriv_fn(r)) ** (p - 2.0)
+            vals, slopes = profile.value_and_derivative(r)
+            vals = np.abs(vals)
+            weight = np.abs(slopes) ** (p - 2.0)
             power = vals ** (p - 2.0)
         volume = r ** (n - 1)
         return ((p - 1.0) * weight * volume,
@@ -101,8 +106,7 @@ def second_variation_forms(sol: HenonSolution, ell: int = 1,
     if grid is None:
         grid = sol.grid
     return pencil_forms(grid, p=sol.p, n=sol.n, q=sol.q, alpha=sol.alpha,
-                        mu=sol.mu, value_fn=sol.v, deriv_fn=sol.v.derivative,
-                        ell=ell)
+                        mu=sol.mu, profile=sol.v, ell=ell)
 
 
 def limit_form_matrix(sol: SteklovSolution,
@@ -119,7 +123,7 @@ def limit_form_matrix(sol: SteklovSolution,
     if grid is None:
         grid = sol.grid
     a_form, _ = pencil_forms(grid, p=sol.p, n=sol.n, q=2.0, alpha=0.0, mu=0.0,
-                             value_fn=sol.phi, deriv_fn=sol.phi.derivative)
+                             profile=sol.phi)
     return a_form
 
 
@@ -149,11 +153,19 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     """Smallest eigenpair of (A, B), B positive definite.
 
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
-    h[-1] >= 0.  Bisection with Sturm counts brackets sigma only until
-    inverse iteration shifted just below the bracket must converge at rate
-    1/16 or better: every count of exactly 1 at x proves sigma_2 > x.
-    Inverse iteration then gets the digits, one solve per step with one
-    LDL^T factor per shift.  It stops once the backward error
+    h[-1] >= 0.  The bracket [lo, hi] starts from the least quotient hi of
+    three probe vectors: at lo = 0 when 0 < hi < max(1, |hi|) / 2 and
+    count(0) = 0, else at hi - max(1, |hi|), stepped down until no
+    eigenvalue lies below it.  Bisection with Sturm counts, at the
+    geometric mean while 0 < 4 lo < hi, narrows it until its width is a
+    quarter of above_second - hi, where above_second is the largest x whose
+    count is exactly 1, so sigma_2 > x.  Inverse iteration starts at the
+    shift lo, one solve per step with one LDL^T factor per shift, and each
+    factor's inertia (no negative pivot, or exactly one) raises lo or
+    above_second.  While the backward error is above its target, a
+    Rayleigh quotient rho < (lo + above_second) / 2, which proves rho
+    nearer sigma than sigma_2, becomes the next shift (`refactorizations`
+    counts these).  It stops once the backward error
     ||A h - rho B h|| / || |A||h| + |rho||B||h| || (2-norms, reported as
     `residual`) is at most 4 N eps and a further step no longer halves it.
     A shift that hits an exact zero pivot is stepped down and the matrix
@@ -164,7 +176,8 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     Inverse iteration starts from h = ones; a refused certificate restarts
     it once from the linear probe.  Missing the backward-error test in 30
     steps (a NaN never meets it), or a second refused certificate, raises
-    ConvergenceError.  `iterations` counts the steps of both runs.
+    ConvergenceError.  `iterations` counts the steps of both runs and
+    `sturm_counts` the count-only sweeps.
     """
     size = a_form.size
     if size != b_form.size:
@@ -194,34 +207,46 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
             raise ConvergenceError("failed to bracket the smallest eigenvalue")
     # A count of exactly 1 at x proves sigma_2 > x; keep the largest such x.
     above_second = hi if found == 1 else -math.inf
-    lo, step = hi - scale, scale
-    while count(lo) > 0:
+
+    def record(x: float, found: int) -> None:
+        """Narrow the bracket by `found` eigenvalues below x."""
+        nonlocal lo, hi, above_second
+        if found == 0:
+            lo = max(lo, x)
+        else:
+            hi = min(hi, x)
+            if found == 1:
+                above_second = max(above_second, x)
+
+    # Anchor the bracket at 0 when hi is well below the default width
+    # max(1, |hi|): the p > 2 pencils have hi near 0.4 and sigma between
+    # 3e-4 and 5e-2.  At p = 2 (hi near 0.86, sigma near 0.7) hi - 1 is as
+    # tight, and the bisection from it takes no more counts.
+    lo, step = (0.0 if 0.0 < hi < 0.5 * scale else hi - scale), scale
+    while (found := count(lo)) > 0:
+        record(lo, found)
         step *= 2.0
         lo -= step
         if step > 1e18 * scale:
             raise ConvergenceError("smallest eigenvalue escaped the search")
-    # Stop once (sigma - shift) / (sigma_2 - shift) <= 1/16 is proved for
-    # the shift lo - width, or at machine width for a cluster.
+    # Stop once the bracket is a quarter of the gap above it, so that a
+    # Rayleigh quotient near sigma passes the shift test below, or at
+    # machine width for a cluster.  A bracket of positive ends spanning
+    # more than a factor 4 is bisected geometrically.
     for _ in range(200):
         width = hi - lo
-        if (32.0 * width <= above_second - lo + width
+        if (4.0 * width <= above_second - hi
                 or width <= 1e-14 * max(1.0, abs(lo), abs(hi))):
             break
-        mid = 0.5 * (lo + hi)
-        found = count(mid)
-        if found >= 1:
-            hi = mid
-            if found == 1:
-                above_second = max(above_second, mid)
-        else:
-            lo = mid
+        mid = math.sqrt(lo * hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+        record(mid, count(mid))
 
-    width = hi - lo
-    shift = lo - max(1e-14 * max(1.0, abs(lo)), width)
+    # count(lo) = 0 puts lo at or below sigma: the first shift.
+    width, shift = hi - lo, lo
     abs_a = TridiagForm(np.abs(a_form.diag), np.abs(a_form.off))
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
-    pivots, iterations = None, 0
+    pivots, iterations, refactorizations = None, 0, 0
     # h = ones is B-orthogonal to the odd ground mode of a mirror-symmetric
     # pencil, so a refused certificate restarts from the linear probe.
     for start in (np.ones(size), nodes_probe):
@@ -236,6 +261,9 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
                     pivots = None
                     shift -= width + 1e-14 * max(1.0, abs(shift))
                     continue
+                # The factor's inertia narrows the bracket for free: only
+                # whether none, one or more pivots are negative matters.
+                record(shift, sum(x < 0.0 for x in heapq.nsmallest(2, pivots)))
             y = solve_banded(pivots, multipliers, bh)
             h = y / math.sqrt(b_form.quad_form(y))
             # A h and B h once each: for rho, the residual and (B h) the
@@ -261,6 +289,14 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
             if backward <= tol and backward >= 0.5 * previous:
                 break
             previous = backward
+            # Rayleigh shift: rho < (lo + above_second) / 2 proves rho
+            # nearer sigma than sigma_2, so inverse iteration shifted to rho
+            # still converges to sigma, at a rate that falls with rho -
+            # sigma.  Once the backward error is met a new factor buys
+            # nothing.
+            if backward > tol and rho < 0.5 * (lo + above_second):
+                shift, pivots = rho, None
+                refactorizations += 1
         iterations += steps
         if not backward <= tol:  # NaN fails the test
             raise ConvergenceError(
@@ -280,6 +316,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     if h[-1] < 0.0:
         h = -h
     diagnostics = {"method": "sturm+inverse", "iterations": iterations,
+                   "refactorizations": refactorizations,
                    "bisection_width": float(width), "residual": backward,
                    "sturm_counts": sturm_counts}
     return float(rho), h, diagnostics

@@ -37,7 +37,7 @@ __all__ = ["AppendixTableRow", "ChainLink", "ChainReport", "compute_k",
 
 _E = math.e
 _EPS = sys.float_info.epsilon
-_P_LOC_TOL = 1e-8  # bracket width at which the p_loc root solve stops
+P_LOC_TOL = 1e-8  # bracket width at which the p_loc root solve stops
 
 
 def _check_exponent(p: float) -> None:
@@ -103,7 +103,7 @@ def find_p_loc(n: int) -> float:
     if not (isinstance(n, (int, np.integer)) and n >= 4):
         raise ValueError(f"p_loc needs an integer dimension >= 4, got {n!r}")
     return brent_root(lambda p: compute_k(n, p, critical_exponent(n, p)),
-                      2.0, n - 0.05, f_tol=0.0, x_tol=_P_LOC_TOL)
+                      2.0, n - 0.05, f_tol=0.0, x_tol=P_LOC_TOL)
 
 
 def compute_ipn(n: int, p: float) -> float:

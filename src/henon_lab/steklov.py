@@ -87,8 +87,9 @@ def solve_steklov(n: int, p: float, *, refinement: int = 8,
     lam = _boundary_quotient(traj.end, n, p, tol)
     meas = surface_measure(n)
     rq, weights = step_quadrature(traj)
-    norm_p = meas * float(np.dot(weights, (np.abs(traj.grad_at(rq)) ** p
-                                           + np.abs(traj.value_at(rq)) ** p)
+    values, slopes = traj.profile_at(rq)
+    norm_p = meas * float(np.dot(weights, (np.abs(slopes) ** p
+                                           + np.abs(values) ** p)
                                  * rq ** (n - 1)))
     scale = norm_p ** (-1.0 / p)
 

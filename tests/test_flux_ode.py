@@ -66,8 +66,10 @@ def test_dense_output_tracks_solution():
     traj = integrate_flux_ode(1.0, 1.0 / 3, p=2.0, n=3, tol=1e-11)
     r = np.linspace(0.05, 1.0, 40)
     assert np.max(np.abs(traj.value_at(r) - np.sinh(r) / r)) < 1e-9
+    values, grads = traj.profile_at(r)
+    assert np.array_equal(values, traj.value_at(r))
     exact_grad = (np.cosh(r) * r - np.sinh(r)) / r ** 2
-    assert np.max(np.abs(traj.grad_at(r) - exact_grad)) < 1e-8
+    assert np.max(np.abs(grads - exact_grad)) < 1e-8
 
 
 def test_dense_output_is_built_once_on_first_evaluation():
@@ -106,7 +108,7 @@ def test_trajectory_splices_the_series_below_seed():
     p, n = 2.5, 4
     traj = integrate_flux_ode(1.0, 1.0 / n, p=p, n=n, tol=1e-10)
     assert traj.rs[0] == SEED_RADIUS and traj.rs[-1] == 1.0
-    value_fn, grad_fn = traj.value_at, traj.grad_at
+    value_fn = traj.value_at
     r = np.array([0.0, 1e-6, 5e-5, 2e-4, 0.5, 1.0])
     vals = value_fn(r)
     assert vals[0] == 1.0
@@ -116,7 +118,7 @@ def test_trajectory_splices_the_series_below_seed():
     assert abs(below - above) < 1e-12
     # The startup gradient follows r^(1/(p-1)) with the flux coefficient.
     expect = (1.0 / n) ** (1.0 / (p - 1.0)) * (5e-5) ** (1.0 / (p - 1.0))
-    assert abs(grad_fn(5e-5) - expect) / expect < 1e-10
+    assert abs(traj.profile_at(5e-5)[1] - expect) / expect < 1e-10
 
 
 def _source(p, sink, alpha, q):

@@ -114,9 +114,11 @@ def test_radial_function_interpolation():
 def test_radial_function_prefers_dense_evaluator():
     grid = build_grid(4, refinement=3)
     f = RadialFunction(grid, np.exp(grid.nodes), np.exp(grid.nodes),
-                       _value_fn=np.exp, _deriv_fn=np.exp)
+                       _value_fn=np.exp,
+                       _profile_fn=lambda r: (np.exp(r), np.exp(r)))
     # With evaluators attached the coarse nodal table must not matter.
     assert abs(f(0.123456) - np.exp(0.123456)) < 1e-15
+    assert abs(f.derivative(0.123456) - np.exp(0.123456)) < 1e-15
 
 
 def test_tridiag_form_consistency():

@@ -9,7 +9,8 @@ import pytest
 from cli_child import parse_record
 from henon_lab import cli, second_variation
 from henon_lab.errors import ConvergenceError
-from henon_lab.mesh import TridiagForm, build_grid, negative_pivots
+from henon_lab.mesh import (RadialFunction, TridiagForm, build_grid,
+                            negative_pivots)
 from henon_lab.second_variation import (dense_min_eig,
                                         eigenprofile_properties,
                                         eigenprofile_steepness,
@@ -24,8 +25,8 @@ from henon_lab.steklov import steklov_eigenvalue
 
 def _const_forms(grid, **overrides):
     kwargs = dict(p=2.0, n=grid.n, q=3.0, alpha=0.0, mu=0.0,
-                  value_fn=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                  deriv_fn=lambda r: np.ones_like(np.asarray(r, dtype=float)))
+                  profile=RadialFunction.from_nodes(grid,
+                                                    np.ones(grid.num_nodes)))
     kwargs.update(overrides)
     return pencil_forms(grid, **kwargs)
 
@@ -51,8 +52,7 @@ def test_zero_mu_matches_limit_form(steklov):
     sol = steklov(4, 2.5)
     lf = limit_form_matrix(sol)
     a_form, _ = pencil_forms(sol.grid, p=sol.p, n=sol.n, q=3.7, alpha=123.0,
-                             mu=0.0, value_fn=sol.phi,
-                             deriv_fn=sol.phi.derivative)
+                             mu=0.0, profile=sol.phi)
     scale = np.max(np.abs(lf.diag))
     assert np.max(np.abs(a_form.diag - lf.diag)) <= 1e-12 * scale
     assert np.max(np.abs(a_form.off - lf.off)) <= 1e-12 * scale
@@ -61,8 +61,7 @@ def test_zero_mu_matches_limit_form(steklov):
 def test_limit_pencil_is_positive(steklov):
     sol = steklov(4, 2.0)
     a_form, b_form = pencil_forms(sol.grid, p=2.0, n=4, q=3.0, alpha=0.0,
-                                  mu=0.0, value_fn=sol.phi,
-                                  deriv_fn=sol.phi.derivative)
+                                  mu=0.0, profile=sol.phi)
     sigma, h, _ = pencil_min_eig(a_form, b_form)
     assert sigma > 0.0
     assert abs(b_form.quad_form(h) - 1.0) <= 1e-10
@@ -109,29 +108,40 @@ def test_sturm_count_matches_the_scalar_loop(ground_state):
 
 
 def test_coarse_pencil_matches_dense(ground_state):
-    sol = ground_state(4, 2.0, 3.0, 50.0)
-    grid = build_grid(4, refinement=4)
-    a_form, b_form = second_variation_forms(sol, grid=grid)
-    sigma, _, _ = pencil_min_eig(a_form, b_form)
-    dense = dense_min_eig(a_form, b_form)
-    assert abs(sigma - dense) <= 1e-12 * max(1.0, abs(dense))
+    # At p > 2 the bracket is anchored at 0 and the shift moves to the
+    # Rayleigh quotient, so both bracket paths and the Rayleigh shift are
+    # checked against the dense solve.
+    for point in [(4, 2.0, 3.0, 50.0), (4, 2.5, 3.0, 50.0)]:
+        sol = ground_state(*point)
+        grid = build_grid(4, refinement=4)
+        a_form, b_form = second_variation_forms(sol, grid=grid)
+        sigma, _, diagnostics = pencil_min_eig(a_form, b_form)
+        dense = dense_min_eig(a_form, b_form)
+        assert abs(sigma - dense) <= 1e-12 * max(1.0, abs(dense))
+        assert diagnostics["refactorizations"] >= 1
 
 
 # Named ids, so that re-pinning a value does not rename the test.
-@pytest.mark.parametrize("point, ell, refinement, sigma, counts, steps", [
-    pytest.param((4, 2.0, 3.0, 400.0), 1, 9, 0.5884570077976088, 12, 6,
-                 id="n4-p2-q3-a400-ell1-r9"),
-    pytest.param((4, 2.5, 3.0, 400.0), 2, 10, 0.005327771073392761, 19, 11,
-                 id="n4-p2.5-q3-a400-ell2-r10")])
+@pytest.mark.parametrize(
+    "point, ell, refinement, sigma, counts, steps, refactorizations", [
+        pytest.param((4, 2.0, 3.0, 400.0), 1, 9, 0.5884570076547603, 9, 4, 2,
+                     id="n4-p2-q3-a400-ell1-r9"),
+        pytest.param((4, 2.5, 3.0, 400.0), 2, 10, 0.005327771073392761, 13,
+                     6, 2, id="n4-p2.5-q3-a400-ell2-r10"),
+        pytest.param((4, 2.5, 3.0, 400.0), 1, 11, 0.003893126744379349, 14,
+                     6, 2, id="n4-p2.5-q3-a400-ell1-r11")])
 def test_pencil_work_counts_are_pinned(ground_state, point, ell, refinement,
-                                       sigma, counts, steps):
-    # Sturm counts and inverse-iteration steps are deterministic: a change
-    # that moves either changes the eigensolver's work, not just its speed.
+                                       sigma, counts, steps,
+                                       refactorizations):
+    # Sturm counts, inverse-iteration steps and Rayleigh refactorizations
+    # are deterministic: a change that moves any of them changes the
+    # eigensolver's work, not just its speed.
     n, p, q, alpha = point
     grid = build_grid(n, refinement=refinement, alpha_hint=alpha)
     result = min_second_variation(ground_state(*point), ell=ell, grid=grid)
     assert result.diagnostics["sturm_counts"] == counts
     assert result.diagnostics["iterations"] == steps
+    assert result.diagnostics["refactorizations"] == refactorizations
     assert abs(result.sigma - sigma) <= 1e-12 * sigma
 
 
@@ -343,9 +353,10 @@ def test_min_second_variation_packaging(ground_state):
     assert result.lambda_reg == 0.0
     assert result.ell == 1 and result.angular == 3.0
     assert result.diagnostics["method"] == "sturm+inverse"
-    # The bracket stops once the rate to sigma_2 is proved, not at machine
-    # width: 12 counts here where bisection to 1e-14 took 49.
-    assert result.diagnostics["sturm_counts"] == 12 <= 20
+    # The bracket stops once a Rayleigh shift can be proved nearer sigma
+    # than sigma_2, not at machine width: 9 counts here where bisection to
+    # 1e-14 took 49.
+    assert result.diagnostics["sturm_counts"] == 9 <= 20
     assert result.h.boundary_value > 0.0
     assert eigenprofile_steepness(result) > 0.0
 
