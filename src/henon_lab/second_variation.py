@@ -154,9 +154,9 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
 
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
     h[-1] >= 0.  The bracket [lo, hi] starts from the least quotient hi of
-    three probe vectors: at lo = 0 when 0 < hi < max(1, |hi|) / 2 and
-    count(0) = 0, else at hi - max(1, |hi|), stepped down until no
-    eigenvalue lies below it.  Bisection with Sturm counts, at the
+    three probe vectors: at lo = 0 when 0 < hi < max(1, |hi|) / 2, else at
+    lo = hi - max(1, |hi|); a lo with an eigenvalue below it becomes hi
+    and lo steps down.  Bisection with Sturm counts, at the
     geometric mean while 0 < 4 lo < hi, narrows it until its width is a
     quarter of above_second - hi, where above_second is the largest x whose
     count is exactly 1, so sigma_2 > x.  Inverse iteration starts at the
