@@ -192,16 +192,18 @@ class RadialFunction:
         return np.interp(r, self.grid.nodes, self.values)
 
     def derivative(self, r):
-        return self.value_and_derivative(r)[1]
+        if self._profile_fn is not None:
+            return self._profile_fn(r)[1]
+        nodes = self.grid.nodes
+        cell = np.clip(np.searchsorted(nodes, r, side="right") - 1,
+                       0, nodes.size - 2)
+        return self.grid.cell_slopes(self.values)[cell]
 
     def value_and_derivative(self, r):
         """(value, derivative) at r, from one evaluation where dense."""
         if self._profile_fn is not None:
             return self._profile_fn(r)
-        nodes = self.grid.nodes
-        cell = np.clip(np.searchsorted(nodes, r, side="right") - 1,
-                       0, nodes.size - 2)
-        return self(r), self.grid.cell_slopes(self.values)[cell]
+        return self(r), self.derivative(r)
 
     @classmethod
     def from_nodes(cls, grid: RadialGrid, values: np.ndarray) -> RadialFunction:

@@ -15,9 +15,8 @@ ground state is a strict local minimizer in that direction.  B is positive
 definite, so the minimum eigenvalue of the tridiagonal P1 matrices is found
 in three steps (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4 and 7):
 a coarse Sturm-sequence bracket, anchored at 0 where sigma is far below
-the probe bound, bisected geometrically while it spans more than a factor
-4, and only narrow enough that a Rayleigh quotient near sigma can be proved
-nearer sigma than sigma_2; safeguarded Rayleigh-quotient iteration, which
+the probe bound and bisected only until a Rayleigh quotient near sigma can
+be proved nearer sigma than sigma_2; safeguarded Rayleigh-quotient iteration, which
 moves the shift to the Rayleigh quotient once that proof holds and stops
 on a backward error measured against |A||h|; and two Sturm counts at
 rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho as
@@ -33,7 +32,6 @@ for tests only.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -154,11 +152,10 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
 
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
     h[-1] >= 0.  The bracket [lo, hi] starts from the least quotient hi of
-    three probe vectors: at lo = 0 when 0 < hi < max(1, |hi|) / 2, else at
+    three probe vectors: at lo = 0 when 0 < hi < 1/2, else at
     lo = hi - max(1, |hi|); a lo with an eigenvalue below it becomes hi
-    and lo steps down.  Bisection with Sturm counts, at the
-    geometric mean while 0 < 4 lo < hi, narrows it until its width is a
-    quarter of above_second - hi, where above_second is the largest x whose
+    and lo steps down.  Bisection with Sturm counts narrows it until its
+    width is a quarter of above_second - hi, where above_second is the largest x whose
     count is exactly 1, so sigma_2 > x.  Inverse iteration starts at the
     shift lo, one solve per step with one LDL^T factor per shift, and each
     factor's inertia (no negative pivot, or exactly one) raises lo or
@@ -222,7 +219,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     # max(1, |hi|): the p > 2 pencils have hi near 0.4 and sigma between
     # 3e-4 and 5e-2.  At p = 2 (hi near 0.86, sigma near 0.7) hi - 1 is as
     # tight, and the bisection from it takes no more counts.
-    lo, step = (0.0 if 0.0 < hi < 0.5 * scale else hi - scale), scale
+    lo, step = (0.0 if 0.0 < hi < 0.5 else hi - scale), scale
     while (found := count(lo)) > 0:
         record(lo, found)
         step *= 2.0
@@ -231,14 +228,13 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
             raise ConvergenceError("smallest eigenvalue escaped the search")
     # Stop once the bracket is a quarter of the gap above it, so that a
     # Rayleigh quotient near sigma passes the shift test below, or at
-    # machine width for a cluster.  A bracket of positive ends spanning
-    # more than a factor 4 is bisected geometrically.
+    # machine width for a cluster.
     for _ in range(200):
         width = hi - lo
         if (4.0 * width <= above_second - hi
                 or width <= 1e-14 * max(1.0, abs(lo), abs(hi))):
             break
-        mid = math.sqrt(lo * hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
         record(mid, count(mid))
 
     # count(lo) = 0 puts lo at or below sigma: the first shift.
@@ -263,7 +259,7 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
                     continue
                 # The factor's inertia narrows the bracket for free: only
                 # whether none, one or more pivots are negative matters.
-                record(shift, sum(x < 0.0 for x in heapq.nsmallest(2, pivots)))
+                record(shift, sum(x < 0.0 for x in pivots))
             y = solve_banded(pivots, multipliers, bh)
             h = y / math.sqrt(b_form.quad_form(y))
             # A h and B h once each: for rho, the residual and (B h) the
