@@ -251,29 +251,35 @@ class TridiagForm:
         return float(np.dot(x, self.matvec(x)))
 
 
-def ldlt(diag: np.ndarray, off: np.ndarray) -> tuple[list, list]:
+def ldlt(diag: np.ndarray, off: np.ndarray) -> tuple[list, list, int, bool]:
     """Pivots (D) and multipliers (L) of the symmetric tridiagonal matrix
-    (diag, off) = L D L^T, as float lists.  No pivoting: the negative pivots
-    count the negative eigenvalues (Sylvester).  A zero pivot becomes
-    ZERO_PIVOT, so a shift that grazes an eigenvalue counts it as passed.
-    The pivot recurrence is the one `negative_pivots` runs; a caller that
-    needs only the count should call that, which keeps no lists."""
+    (diag, off) = L D L^T, as float lists, with the number of negative
+    pivots and whether a pivot was exactly zero.  No pivoting: the negative
+    pivots count the negative eigenvalues (Sylvester).  A zero pivot
+    becomes ZERO_PIVOT, so a shift that grazes an eigenvalue counts it as
+    passed.  The pivot recurrence and the count are the ones
+    `negative_pivots` runs; a caller that needs only the count should call
+    that, which keeps no lists."""
     d, e = diag.tolist(), off.tolist()
-    piv = d[0] if d[0] != 0.0 else ZERO_PIVOT
+    singular = d[0] == 0.0
+    piv = ZERO_PIVOT if singular else d[0]
+    negatives = int(piv < 0.0)
     pivots, multipliers = [piv], []
     for d_i, e_i in zip(d[1:], e):
         multipliers.append(e_i / piv)
         piv = d_i - e_i * e_i / piv
-        if piv == 0.0:
-            piv = ZERO_PIVOT
+        if piv <= 0.0:  # NaN is not counted
+            negatives += 1
+            if piv == 0.0:
+                piv, singular = ZERO_PIVOT, True
         pivots.append(piv)
-    return pivots, multipliers
+    return pivots, multipliers, negatives, singular
 
 
 def negative_pivots(diag: np.ndarray, off: np.ndarray) -> int:
-    """Number of negative pivots of `ldlt(diag, off)`, found without
-    storing them: the same recurrence d_i - e_{i-1}^2 / piv and the same
-    ZERO_PIVOT rule, so the same count bit for bit.  e^2 is one numpy
+    """The negative-pivot count of `ldlt(diag, off)`, found without
+    storing the factor: the same recurrence d_i - e_{i-1}^2 / piv and the
+    same ZERO_PIVOT rule, so the same count bit for bit.  e^2 is one numpy
     product, which rounds as the scalar e * e does."""
     d = diag.tolist()
     piv = d[0] if d[0] != 0.0 else ZERO_PIVOT

@@ -14,21 +14,23 @@ sigma = min eig(A, B) decides stability of the mode: positive means the
 ground state is a strict local minimizer in that direction.  B is positive
 definite, so the minimum eigenvalue of the tridiagonal P1 matrices is found
 in three steps (Parlett, The Symmetric Eigenvalue Problem, ch. 3-4 and 7):
-a coarse Sturm-sequence bracket, anchored at 0 where sigma is far below
-the probe bound and bisected only until a Rayleigh quotient near sigma can
-be proved nearer sigma than sigma_2; safeguarded Rayleigh-quotient iteration, which
-moves the shift to the Rayleigh quotient once that proof holds and stops
-on a backward error measured against |A||h|; and two Sturm counts at
-rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho as
-the smallest eigenvalue.  A refused certificate restarts inverse iteration
-once from a linear start vector; a missed backward error or a second
-refusal raises ConvergenceError.  Every step sweeps the LDL^T pivot
-recurrence of A - s B on plain floats, on numpy alone: a Sturm count runs
-the count-only sweep `mesh.negative_pivots`, and inverse iteration factors
-with `mesh.ldlt` once per shift, reads the factor's inertia into the
-bracket, and solves with `mesh.ldlt_solve`.  Each step forms A h and B h
-once.  The dense solve `dense_min_eig`, which loads scipy, is a reference
-for tests only.
+a coarse Sturm-sequence bracket, anchored a sixteenth of its value below
+the least quotient of four probe vectors (one of them the hat at the
+origin node, where the p > 2 ground mode concentrates) and bisected only
+until a Rayleigh quotient near sigma can be proved nearer sigma than
+sigma_2; safeguarded Rayleigh-quotient iteration from the best probe,
+which moves the shift to the Rayleigh quotient once that proof holds and
+stops on a backward error measured against |A||h|; and two Sturm counts
+at rho -+ SIGMA_TOL max(1, |rho|) that certify the Rayleigh quotient rho
+as the smallest eigenvalue.  A refused certificate restarts inverse
+iteration once from the linear probe (or from ones); a missed backward
+error or a second refusal raises ConvergenceError.  Every step sweeps the
+LDL^T pivot recurrence of A - s B on plain floats, on numpy alone: a Sturm
+count runs the count-only sweep `mesh.negative_pivots`, and inverse
+iteration factors with `mesh.ldlt` once per shift, which also returns the
+factor's inertia for the bracket, and solves with `mesh.ldlt_solve`.
+Each step forms A h and B h once.  The dense solve `dense_min_eig`, which
+loads scipy, is a reference for tests only.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .henon import HenonSolution
-from .mesh import (ZERO_PIVOT, RadialFunction, RadialGrid, TridiagForm,
-                   assemble_forms, ldlt, negative_pivots)
+from .mesh import (RadialFunction, RadialGrid, TridiagForm, assemble_forms,
+                   ldlt, negative_pivots)
 from .mesh import ldlt_solve as solve_banded  # perfbench counts this name
 from .steklov import SteklovSolution
 
@@ -141,7 +143,8 @@ def limit_form_min_numeric(sol: SteklovSolution,
     rhs = np.zeros(m)
     rhs[-1] = -form.off[m - 1]
     w = np.empty(form.size)
-    w[:m] = solve_banded(*ldlt(form.diag[:m], form.off[:m - 1]), rhs)
+    pivots, multipliers, _, _ = ldlt(form.diag[:m], form.off[:m - 1])
+    w[:m] = solve_banded(pivots, multipliers, rhs)
     w[m] = 1.0
     return float(form.quad_form(w)), RadialFunction.from_nodes(grid, w)
 
@@ -151,28 +154,31 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     """Smallest eigenpair of (A, B), B positive definite.
 
     Returns (sigma, h, diagnostics) with h normalized to h^T B h = 1 and
-    h[-1] >= 0.  The bracket [lo, hi] starts from the least quotient hi of
-    three probe vectors: at lo = 0 when 0 < hi < 1/2, else at
-    lo = hi - max(1, |hi|); a lo with an eigenvalue below it becomes hi
-    and lo steps down.  Bisection with Sturm counts narrows it until its
-    width is a quarter of above_second - hi, where above_second is the largest x whose
-    count is exactly 1, so sigma_2 > x.  Inverse iteration starts at the
-    shift lo, one solve per step with one LDL^T factor per shift, and each
-    factor's inertia (no negative pivot, or exactly one) raises lo or
-    above_second.  While the backward error is above its target, a
-    Rayleigh quotient rho < (lo + above_second) / 2, which proves rho
-    nearer sigma than sigma_2, becomes the next shift (`refactorizations`
-    counts these).  It stops once the backward error
+    h[-1] >= 0.  Four probe vectors (ones, the linear ramp, one minus it,
+    and the hat at node 0) bound sigma from above by their quotients; the
+    least, hi, anchors the bracket at lo = hi - w, w = max(|hi|, 1e-4)/16.
+    A lo with an eigenvalue below it becomes hi and lo steps down by
+    doubling; when the first lo holds, one Sturm count at
+    hi + 4 (hi - lo) that finds exactly one eigenvalue proves sigma_2 above
+    that point.  Bisection with Sturm counts narrows the bracket until its
+    width is a quarter of above_second - hi, where above_second is the
+    largest x whose count is exactly 1, so sigma_2 > x.  Inverse iteration
+    starts from the best probe at the shift lo, one solve per step with one
+    LDL^T factor per shift, and each factor's inertia (no negative pivot,
+    or exactly one) raises lo or above_second.  While the backward error is
+    above its target, a Rayleigh quotient rho < (lo + above_second) / 2,
+    which proves rho nearer sigma than sigma_2, becomes the next shift
+    (`refactorizations` counts these).  It stops once the backward error
     ||A h - rho B h|| / || |A||h| + |rho||B||h| || (2-norms, reported as
     `residual`) is at most 4 N eps and a further step no longer halves it.
     A shift that hits an exact zero pivot is stepped down and the matrix
     refactored, as in LAPACK's dstein.  Two Sturm counts certify the
     Rayleigh quotient rho: none below rho - delta and at least one below
     rho + delta, delta = SIGMA_TOL max(1, |rho|), prove
-    |sigma - rho| <= delta.
-    Inverse iteration starts from h = ones; a refused certificate restarts
-    it once from the linear probe.  Missing the backward-error test in 30
-    steps (a NaN never meets it), or a second refused certificate, raises
+    |sigma - rho| <= delta.  A refused certificate restarts inverse
+    iteration once, from the linear probe (from ones if the linear probe
+    was the start).  Missing the backward-error test in 30 steps (a NaN
+    never meets it), or a second refused certificate, raises
     ConvergenceError.  `iterations` counts the steps of both runs and
     `sturm_counts` the count-only sweeps.
     """
@@ -188,9 +194,14 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
         return negative_pivots(a_form.diag - s * b_form.diag,
                                a_form.off - s * b_form.off)
 
-    nodes_probe = np.linspace(0.0, 1.0, size)
-    probes = [np.ones(size), nodes_probe, 1.0 - nodes_probe]
-    hi = min(a_form.quad_form(x) / b_form.quad_form(x) for x in probes)
+    # At p > 2 the discrete ground mode is a spike on node 0, which only
+    # the hat there overlaps much.
+    nodes_probe, origin_hat = np.linspace(0.0, 1.0, size), np.zeros(size)
+    origin_hat[0] = 1.0
+    probes = [np.ones(size), nodes_probe, 1.0 - nodes_probe, origin_hat]
+    quotients = [a_form.quad_form(x) / b_form.quad_form(x) for x in probes]
+    hi = min(quotients)
+    best = quotients.index(hi)
     scale = max(1.0, abs(hi))
     # The probe quotient bounds sigma from above, but only strictly when the
     # probe is not an eigenvector; pad upward until the count confirms it.
@@ -215,23 +226,32 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
             if found == 1:
                 above_second = max(above_second, x)
 
-    # Anchor the bracket at 0 when hi is well below the default width
-    # max(1, |hi|): the p > 2 pencils have hi near 0.4 and sigma between
-    # 3e-4 and 5e-2.  At p = 2 (hi near 0.86, sigma near 0.7) hi - 1 is as
-    # tight, and the bisection from it takes no more counts.
-    lo, step = (0.0 if 0.0 < hi < 0.5 else hi - scale), scale
-    while (found := count(lo)) > 0:
+    # The best probe's quotient is close above sigma: the origin hat's
+    # within 0.04-0.6% at p > 2, ones' or the linear probe's within 3-48%
+    # at p = 2 (the pencils of perfbench's `pencil` workload).  So the
+    # bracket starts hi/16 below hi (measured against 1/4 to 1/64 on those
+    # pencils); the floor lets a hi near 0 pass sigma = -1 in 15
+    # doublings.  When that lo holds, one count at hi + 4 (hi - lo) that
+    # finds exactly one eigenvalue meets the quarter-gap stop below.
+    step = max(abs(hi), 1e-4) / 16.0
+    lo = hi - step
+    if (found := count(lo)) == 0:
+        up = hi + 4.0 * (hi - lo)
+        record(up, count(up))
+    while found > 0:
         record(lo, found)
         step *= 2.0
         lo -= step
         if step > 1e18 * scale:
             raise ConvergenceError("smallest eigenvalue escaped the search")
+        found = count(lo)
     # Stop once the bracket is a quarter of the gap above it, so that a
     # Rayleigh quotient near sigma passes the shift test below, or at
-    # machine width for a cluster.
+    # machine width for a cluster.  (hi + 4 width rounds as `up` does, so
+    # an up count of exactly 1 meets the test.)
     for _ in range(200):
         width = hi - lo
-        if (4.0 * width <= above_second - hi
+        if (hi + 4.0 * width <= above_second
                 or width <= 1e-14 * max(1.0, abs(lo), abs(hi))):
             break
         mid = 0.5 * (lo + hi)
@@ -243,23 +263,26 @@ def pencil_min_eig(a_form: TridiagForm, b_form: TridiagForm
     abs_b = TridiagForm(np.abs(b_form.diag), np.abs(b_form.off))
     tol = 4.0 * size * np.finfo(float).eps
     pivots, iterations, refactorizations = None, 0, 0
-    # h = ones is B-orthogonal to the odd ground mode of a mirror-symmetric
-    # pencil, so a refused certificate restarts from the linear probe.
-    for start in (np.ones(size), nodes_probe):
+    # Inverse iteration starts from the best probe.  h = ones is
+    # B-orthogonal to the odd ground mode of a mirror-symmetric pencil, so
+    # a refused certificate restarts from the linear probe (from ones when
+    # the linear probe was the start).
+    for start in (probes[best], probes[0] if best == 1 else probes[1]):
         h = start / math.sqrt(b_form.quad_form(start))
         bh = b_form.matvec(h)
         rho, backward, previous = math.nan, np.inf, np.inf
         for steps in range(1, 31):
             if pivots is None:  # factor once per shift
-                pivots, multipliers = ldlt(a_form.diag - shift * b_form.diag,
-                                           a_form.off - shift * b_form.off)
-                if ZERO_PIVOT in pivots:
+                pivots, multipliers, negatives, singular = ldlt(
+                    a_form.diag - shift * b_form.diag,
+                    a_form.off - shift * b_form.off)
+                if singular:
                     pivots = None
                     shift -= width + 1e-14 * max(1.0, abs(shift))
                     continue
                 # The factor's inertia narrows the bracket for free: only
                 # whether none, one or more pivots are negative matters.
-                record(shift, sum(x < 0.0 for x in pivots))
+                record(shift, negatives)
             y = solve_banded(pivots, multipliers, bh)
             h = y / math.sqrt(b_form.quad_form(y))
             # A h and B h once each: for rho, the residual and (B h) the

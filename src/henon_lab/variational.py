@@ -156,15 +156,15 @@ def _newton_step(point: _Point, damping: float) -> np.ndarray | None:
     with b.y_b < 0; then T - a a^T is definite iff sigma < 1.
     """
     # Levenberg-Marquardt damping, scaled by the diagonal.
-    pivots, multipliers = ldlt(point.diag + damping * np.abs(point.diag),
-                               point.off)
+    pivots, multipliers, negatives, _ = ldlt(
+        point.diag + damping * np.abs(point.diag), point.off)
     y_a = ldlt_solve(pivots, multipliers, point.a)
     y_b = ldlt_solve(pivots, multipliers, point.b)
     g_ab, g_bb = float(np.dot(point.a, y_b)), float(np.dot(point.b, y_b))
     sigma = float(np.dot(point.a, y_a)) - g_ab * g_ab / g_bb
     if not math.isfinite(sigma):
         raise ConvergenceError("Newton step is not finite")
-    negative = sum(piv < 0.0 for piv in pivots) - (g_bb < 0.0)
+    negative = negatives - (g_bb < 0.0)
     if negative != 0 or not sigma < 1.0:
         return None
     with np.errstate(all="ignore"):

@@ -139,16 +139,17 @@ def test_ldlt_solve_matches_dense_solve(size):
     form = TridiagForm(rng.uniform(2.0, 3.0, size),
                        rng.uniform(-1.0, 1.0, size - 1))
     rhs = rng.standard_normal(size)
-    got = ldlt_solve(*ldlt(form.diag, form.off), rhs)
+    pivots, multipliers, _, _ = ldlt(form.diag, form.off)
+    got = ldlt_solve(pivots, multipliers, rhs)
     want = np.linalg.solve(form.to_dense(), rhs)
     assert got.shape == (size,)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def _negative_pivots(diag, off, shift):
-    pivots, _ = ldlt(diag - shift, off)
+    pivots, _, negatives, _ = ldlt(diag - shift, off)
     count = sum(piv < 0.0 for piv in pivots)
-    assert negative_pivots(diag - shift, off) == count
+    assert negative_pivots(diag - shift, off) == negatives == count
     return count
 
 
@@ -165,8 +166,8 @@ def test_ldlt_negative_pivots_count_eigenvalues_below_shift():
     # size 2 is no eigenvalue, and half the spectrum lies below it.
     size = 40
     diag, off = np.full(size, 2.0), np.full(size - 1, -1.0)
-    pivots, _ = ldlt(diag - 2.0, off)
-    assert pivots[0] == ZERO_PIVOT
+    pivots, _, _, singular = ldlt(diag - 2.0, off)
+    assert pivots[0] == ZERO_PIVOT and singular
     eigs = np.linalg.eigvalsh(TridiagForm(diag, off).to_dense())
     assert _negative_pivots(diag, off, 2.0) == np.sum(eigs < 2.0) == size // 2
 
@@ -219,9 +220,11 @@ def test_sweeps_match_the_reference_loops_bit_for_bit(size, zero_at):
     ref_pivots, ref_multipliers = _ldlt_reference(diag, off)
     if zero_at is not None:
         assert ref_pivots[zero_at] == ZERO_PIVOT
-    pivots, multipliers = ldlt(diag, off)
+    pivots, multipliers, negatives, singular = ldlt(diag, off)
     assert pivots == ref_pivots and multipliers == ref_multipliers
-    assert negative_pivots(diag, off) == sum(p < 0.0 for p in ref_pivots)
+    assert negative_pivots(diag, off) == negatives == sum(
+        p < 0.0 for p in ref_pivots)
+    assert singular == (ZERO_PIVOT in ref_pivots)
     # Past a zero pivot the solution over- or underflows; tobytes compares
     # inf, NaN and signed zeros bit for bit where == would not.
     got = ldlt_solve(pivots, multipliers, rhs)

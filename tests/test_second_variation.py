@@ -108,9 +108,9 @@ def test_sturm_count_matches_the_scalar_loop(ground_state):
 
 
 def test_coarse_pencil_matches_dense(ground_state):
-    # At p > 2 the bracket is anchored at 0 and the shift moves to the
-    # Rayleigh quotient, so both bracket paths and the Rayleigh shift are
-    # checked against the dense solve.
+    # The best probe is ones at p = 2 and the origin hat at p > 2; from
+    # either the shift moves to the Rayleigh quotient, which is checked
+    # against the dense solve.
     for point in [(4, 2.0, 3.0, 50.0), (4, 2.5, 3.0, 50.0)]:
         sol = ground_state(*point)
         grid = build_grid(4, refinement=4)
@@ -121,15 +121,22 @@ def test_coarse_pencil_matches_dense(ground_state):
         assert diagnostics["refactorizations"] >= 1
 
 
-# Named ids, so that re-pinning a value does not rename the test.
+# Named ids, so that re-pinning a value does not rename the test.  The
+# n = 5 case is a p > 2 ground state of the `pencil` benchmark (seed 3);
+# the q = 14 case is unstable, sigma < 0.
 @pytest.mark.parametrize(
     "point, ell, refinement, sigma, counts, steps, refactorizations", [
-        pytest.param((4, 2.0, 3.0, 400.0), 1, 9, 0.5884570076547603, 9, 4, 2,
+        pytest.param((4, 2.0, 3.0, 400.0), 1, 9, 0.5884570076341956, 9, 5, 2,
                      id="n4-p2-q3-a400-ell1-r9"),
-        pytest.param((4, 2.5, 3.0, 400.0), 2, 10, 0.005327771073392761, 13,
-                     6, 2, id="n4-p2.5-q3-a400-ell2-r10"),
-        pytest.param((4, 2.5, 3.0, 400.0), 1, 11, 0.003893126744379349, 14,
-                     6, 2, id="n4-p2.5-q3-a400-ell1-r11")])
+        pytest.param((4, 2.5, 3.0, 400.0), 2, 10, 0.005327771073392763, 5,
+                     4, 2, id="n4-p2.5-q3-a400-ell2-r10"),
+        pytest.param((4, 2.5, 3.0, 400.0), 1, 11, 0.003893126744379349, 5,
+                     4, 2, id="n4-p2.5-q3-a400-ell1-r11"),
+        pytest.param((5, 2.9055526901469544, 3.0385747955913116,
+                      386.19115552010066), 1, 11, 0.0003522122258436892, 5,
+                     4, 2, id="n5-p2.906-q3.039-a386-ell1-r11"),
+        pytest.param((3, 2.5, 14.0, 400.0), 1, 8, -1.804077917577938, 10, 4,
+                     2, id="n3-p2.5-q14-a400-ell1-r8")])
 def test_pencil_work_counts_are_pinned(ground_state, point, ell, refinement,
                                        sigma, counts, steps,
                                        refactorizations):
@@ -142,7 +149,7 @@ def test_pencil_work_counts_are_pinned(ground_state, point, ell, refinement,
     assert result.diagnostics["sturm_counts"] == counts
     assert result.diagnostics["iterations"] == steps
     assert result.diagnostics["refactorizations"] == refactorizations
-    assert abs(result.sigma - sigma) <= 1e-12 * sigma
+    assert abs(result.sigma - sigma) <= 1e-12 * abs(sigma)
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
@@ -323,14 +330,45 @@ def test_certificate_refuses_the_second_eigenvalue(ground_state,
                                      (100.0, 1.0, 0.1), (-50.0, 0.25, 0.1)])
 def test_mirror_symmetric_pencil_ends_on_the_odd_ground_mode(a, e, b):
     # A = [[a, e], [e, a]], B = b I: the ground mode (1, -1) has sigma
-    # (a - e) / b and is B-orthogonal to the start h = ones, so the first
-    # run ends on sigma_2 = (a + e) / b, and the restart finds sigma.
+    # (a - e) / b and is B-orthogonal to h = ones, whose quotient is
+    # sigma_2 = (a + e) / b.  The linear probe (0, 1) has the least
+    # quotient, a / b, and starts the iteration.
     sigma, h, _ = pencil_min_eig(TridiagForm(np.array([a, a]), np.array([e])),
                                  TridiagForm(np.array([b, b]),
                                              np.array([0.0])))
     want = (a - e) / b
     assert abs(sigma - want) <= 1e-12 * max(1.0, abs(want))
     assert abs(h[0] + h[1]) <= 1e-12 * abs(h[1])
+
+
+def test_refused_start_from_ones_restarts_from_the_linear_probe():
+    # A mirror-symmetric pencil with A ones = -ones: ones ties both linear
+    # probes at the least quotient, -1, and comes first, so it starts the
+    # run.  It is an exact eigenvector, so the first run ends on it at once
+    # and the certificate refuses -1; the ground mode is odd, B-orthogonal
+    # to ones, with sigma = -2 - sqrt(5), and the restart from the linear
+    # probe finds it.
+    a_form = TridiagForm(np.array([0.0, -2.0, -2.0, 0.0]),
+                         np.array([-1.0, 2.0, -1.0]))
+    b_form = TridiagForm(np.ones(4), np.zeros(3))
+    sigma, h, _ = pencil_min_eig(a_form, b_form)
+    want = -2.0 - np.sqrt(5.0)
+    assert abs(sigma - want) <= 1e-12 * abs(want)
+    assert np.max(np.abs(h + h[::-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("a00", [0.0, 1e-12])
+def test_probe_bound_near_zero_reaches_a_negative_sigma(a00):
+    # The origin hat's quotient a00 is the best probe bound, and sigma =
+    # (a00 - sqrt(a00^2 + 4)) / 2 is near -1.  The bracket starts at the
+    # floor width 1e-4 / 16 below hi and doubles its step: 15 counts pass
+    # -1, a few more bisect, two certify.
+    a_form = TridiagForm(np.array([a00, 0.0, 1.0]), np.array([1.0, 0.0]))
+    b_form = TridiagForm(np.ones(3), np.zeros(2))
+    sigma, _, diagnostics = pencil_min_eig(a_form, b_form)
+    want = 0.5 * (a00 - np.sqrt(a00 * a00 + 4.0))
+    assert abs(sigma - want) <= 1e-12
+    assert diagnostics["sturm_counts"] <= 24
 
 
 def test_non_finite_iterate_is_a_solver_error(ground_state, monkeypatch):
